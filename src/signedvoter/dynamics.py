@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, PeriodicComponent, SlowMixing, WrongKind
+from .errors import NoConvergence, SlowMixing, WrongKind
 from .graph import SignedDigraph, apply_p
-from .structure import (
-    BalanceKind,
-    Decomposition,
-    classify_balance,
-    decompose,
-    is_aperiodic,
-    stationary,
-)
+from .structure import BalanceKind, Decomposition, decompose
 
 # Violations of [0, 1] beyond this are a bug in the graph invariants, not
 # roundoff, and raise instead of being clamped away.
@@ -174,7 +167,7 @@ class SteadyState:
         return 0.5 * (self.x_even + self.x_odd)
 
 
-def steady_state(G: SignedDigraph, x0, decomp: Decomposition | None = None) -> SteadyState:
+def steady_state(G: SignedDigraph, x0) -> SteadyState:
     """Closed-form limit of the dynamics started from x0.
 
     Every sink component must be ergodic (PeriodicComponent otherwise).
@@ -182,13 +175,13 @@ def steady_state(G: SignedDigraph, x0, decomp: Decomposition | None = None) -> S
     given by the alignment; strictly unbalanced sinks go to 1/2; an
     anti-balanced sink alternates between the two polarized limits.  Every
     non-sink node sits at 1/2 plus the superposed coupling terms of all
-    balanced and anti-balanced sinks.
+    balanced and anti-balanced sinks.  The sink analysis comes from the
+    graph's cached decomposition.
     """
     x0 = _validated(np.asarray(x0, dtype=np.float64), G.n)
     if x0.ndim != 1:
         raise ValueError("steady_state expects a single distribution")
-    if decomp is None:
-        decomp = decompose(G)
+    decomp = decompose(G)
     x_even = np.empty(G.n)
     x_odd = np.empty(G.n)
     xs = decomp.non_sink
@@ -198,19 +191,16 @@ def steady_state(G: SignedDigraph, x0, decomp: Decomposition | None = None) -> S
 
     summaries = []
     oscillating = False
-    for i, z in enumerate(decomp.sinks):
-        if not is_aperiodic(z, G):
-            raise PeriodicComponent(f"sink component containing node {z[0]} is periodic")
-        bal = classify_balance(z, G)
-        pi = stationary(z, G)
-        x0z = x0[z]
+    for i, sink in enumerate(decomp.sink_analysis):
+        bal, pi = sink.balance, sink.pi
+        z = bal.nodes
         if bal.kind is BalanceKind.STRICTLY_UNBALANCED:
             x_even[z] = 0.5
             x_odd[z] = 0.5
             summaries.append(SinkSummary(z, bal.kind, None, pi, 0.0, None))
             continue
         signed = np.where(bal.in_s, 1.0, -1.0)
-        align = float((signed * pi) @ (x0z - 0.5))
+        align = float((signed * pi) @ (x0[z] - 0.5))
         xz = signed * align + 0.5
         coupling = None
         if xs.size:

@@ -13,6 +13,10 @@ class ZeroWeightEdge(GraphDataError):
     pass
 
 
+class NonFiniteWeight(GraphDataError):
+    """An edge weight is NaN or infinite."""
+
+
 class DuplicateEdge(GraphDataError):
     pass
 

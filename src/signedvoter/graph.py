@@ -7,12 +7,12 @@ materialized; `apply_p` and `apply_p_transpose` apply it edge by edge, which
 keeps every product at O(|E|) regardless of n.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DanglingNode, DuplicateEdge, MalformedLine, ZeroWeightEdge
+from .errors import DanglingNode, DuplicateEdge, MalformedLine, NonFiniteWeight, ZeroWeightEdge
 
 
 @dataclass(eq=False, repr=False)
@@ -24,7 +24,9 @@ class SignedDigraph:
     with no duplicate (source, target) pairs.  `out_weight[i]` is the total
     absolute out-weight d_i and is always positive: every node must have at
     least one out-edge.  Instances are immutable after construction and safe
-    to share across worker threads/processes.
+    to share across worker threads/processes.  Derived data (the cached
+    properties below and structure.decompose's result) is computed on first
+    use and kept for the life of the graph.
     """
 
     n: int
@@ -33,6 +35,7 @@ class SignedDigraph:
     weights: np.ndarray
     signs: np.ndarray
     out_weight: np.ndarray
+    _decomposition: object = field(default=None, init=False)
 
     def __post_init__(self):
         for a in (self.indptr, self.targets, self.weights, self.signs, self.out_weight):
@@ -76,6 +79,8 @@ class SignedDigraph:
 
     def validate(self, rtol: float = 1e-12) -> None:
         """Recheck all structural invariants; raises GraphDataError on failure."""
+        if not np.all(np.isfinite(self.weights)):
+            raise NonFiniteWeight("NaN or infinite edge weight present")
         if np.any(self.weights <= 0):
             raise ZeroWeightEdge("non-positive edge weight present")
         if not np.all(np.abs(self.signs) == 1):
@@ -83,12 +88,13 @@ class SignedDigraph:
         deg = np.diff(self.indptr)
         if np.any(deg == 0):
             raise DanglingNode(f"nodes without out-edges: {np.nonzero(deg == 0)[0][:10]}")
-        for i in range(self.n):
-            t = self.targets[self.out_slice(i)]
-            if np.any(np.diff(t) <= 0):
-                raise DuplicateEdge(f"node {i} has unsorted or duplicate targets")
-        d = np.bincount(self.sources, weights=self.weights, minlength=self.n)
-        if np.any(np.abs(d - self.out_weight) > rtol * np.maximum(d, 1.0)):
+        src = self.sources
+        bad = np.nonzero((src[1:] == src[:-1]) & (np.diff(self.targets) <= 0))[0]
+        if bad.size:
+            raise DuplicateEdge(f"node {src[bad[0]]} has unsorted or duplicate targets")
+        d = np.bincount(src, weights=self.weights, minlength=self.n)
+        # written so that a NaN out_weight fails too
+        if not np.all(np.abs(d - self.out_weight) <= rtol * np.maximum(d, 1.0)):
             raise MalformedLine("out_weight inconsistent with edge weights")
 
 
@@ -96,10 +102,10 @@ def from_edge_list(edges, repair_dangling: bool = False) -> SignedDigraph:
     """Build a graph from (src, dst, signed_weight) triples.
 
     The sign of each edge is the sign of its weight; the stored weight is the
-    absolute value.  Duplicate (src, dst) pairs and zero weights are
-    rejected.  Nodes with no outgoing edge raise DanglingNode unless
-    `repair_dangling` is set, in which case a positive unit self-loop is
-    added (this changes the dynamics; off by default).
+    absolute value.  Duplicate (src, dst) pairs, zero weights and NaN or
+    infinite weights are rejected.  Nodes with no outgoing edge raise
+    DanglingNode unless `repair_dangling` is set, in which case a positive
+    unit self-loop is added (this changes the dynamics; off by default).
     """
     edges = list(edges)
     if not edges:
@@ -109,6 +115,10 @@ def from_edge_list(edges, repair_dangling: bool = False) -> SignedDigraph:
     w = np.array([e[2] for e in edges], dtype=np.float64)
     if np.any(src < 0) or np.any(dst < 0):
         raise MalformedLine("negative node id")
+    bad = np.nonzero(~np.isfinite(w))[0]
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteWeight(f"edge ({src[i]}, {dst[i]}) has weight {w[i]}")
     zero = np.nonzero(w == 0)[0]
     if zero.size:
         i = int(zero[0])

@@ -20,9 +20,9 @@ from .dynamics import (
     solve_coupling,
     steady_state,
 )
-from .errors import PeriodicComponent, TooLarge, WrongKind
+from .errors import TooLarge, WrongKind
 from .graph import SignedDigraph, apply_p_transpose, indicator
-from .structure import BalanceKind, classify_balance, decompose, is_aperiodic, stationary
+from .structure import BalanceKind, decompose
 
 
 @dataclass
@@ -87,13 +87,8 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
     """
     decomp = decompose(G)
     c = np.zeros(G.n)
-    balanced = []
-    for i, z in enumerate(decomp.sinks):
-        if not is_aperiodic(z, G):
-            raise PeriodicComponent(f"sink component containing node {z[0]} is periodic")
-        bal = classify_balance(z, G)
-        if bal.kind is BalanceKind.BALANCED:
-            balanced.append((i, z, bal))
+    balanced = [(i, sink) for i, sink in enumerate(decomp.sink_analysis)
+                if sink.balance.kind is BalanceKind.BALANCED]
     if not balanced:
         return ContributionVector(c, "longterm")
 
@@ -101,15 +96,15 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
     ub_mass = np.zeros(len(balanced))
     if nx:
         rhs = np.stack(
-            [decomp.py(i).apply(np.where(bal.in_s, 1.0, -1.0)) for i, _, bal in balanced],
+            [decomp.py(i).apply(np.where(sink.balance.in_s, 1.0, -1.0)) for i, sink in balanced],
             axis=1,
         )
         ub = solve_coupling(decomp, rhs, +1)
         ub_mass = ub.sum(axis=0)
-    for col, (i, z, bal) in enumerate(balanced):
-        pi = stationary(z, G)
+    for col, (_, sink) in enumerate(balanced):
+        bal, pi = sink.balance, sink.pi
         scale = ub_mass[col] + bal.size_s - bal.size_sbar
-        c[z] = scale * np.where(bal.in_s, pi, -pi)
+        c[bal.nodes] = scale * np.where(bal.in_s, pi, -pi)
     return ContributionVector(c, "longterm")
 
 
@@ -154,13 +149,11 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
     decomp = decompose(G)
     if len(decomp.sinks) != 1:
         raise WrongKind("oscillation objective needs exactly one sink component")
-    z = decomp.sinks[0]
-    if not is_aperiodic(z, G):
-        raise PeriodicComponent("sink component is periodic")
-    bal = classify_balance(z, G)
+    sink = decomp.sink_analysis[0]
+    bal = sink.balance
     if bal.kind is not BalanceKind.ANTI_BALANCED:
         raise WrongKind(f"sink is {bal.kind.value}, not anti_balanced")
-    pi = stationary(z, G)
+    z, pi = bal.nodes, sink.pi
     pihat = np.where(bal.in_s, pi, -pi)
 
     def candidate(side_mask) -> list:
@@ -175,7 +168,7 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
         score = abs(float(pihat @ (e - 0.5)))
         if score > best_score:
             best_nodes, best_score = nodes, score
-    amp = oscillation_amplitude(G, steady_state(G, indicator(G.n, best_nodes), decomp))
+    amp = oscillation_amplitude(G, steady_state(G, indicator(G.n, best_nodes)))
     return SeedSet(sorted(best_nodes), amp, "oscillation")
 
 

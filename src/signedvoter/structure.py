@@ -1,12 +1,21 @@
-"""Condensation into SCCs, sink detection, balance classification, stationary law."""
+"""Condensation into SCCs, sink detection, balance classification, stationary law.
+
+Strong connectivity, the period and the balance class of a component all come
+from one vectorized breadth-first search.  `decompose` runs once per graph
+and is cached on it.  Its per-sink analysis is shared by every long-term
+routine: each sink's balance class is computed on first use of the
+analysis, and its stationary law on first use of that law, so the whole
+analysis lives as long as the graph does.
+"""
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConvergence, NotStronglyConnected
+from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
 from .graph import SignedDigraph
 
 
@@ -36,6 +45,26 @@ class BalanceClass:
     @property
     def size_sbar(self) -> int:
         return len(self.nodes) - self.size_s if self.in_s is not None else 0
+
+
+@dataclass
+class SinkAnalysis:
+    """Long-term facts of one ergodic sink: its balance class and stationary law.
+
+    `balance.nodes` are the sink's nodes; `pi` is aligned with them and is
+    computed on first access, so callers that need only the balance class
+    never run the power iteration.  The arrays are shared by every caller
+    and therefore read-only.
+    """
+
+    graph: SignedDigraph = field(repr=False)
+    balance: BalanceClass
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        pi = stationary(self.balance.nodes, self.graph)
+        pi.setflags(write=False)
+        return pi
 
 
 class Block:
@@ -98,8 +127,23 @@ class Decomposition:
     def n_components(self) -> int:
         return len(self.components)
 
-    def is_sink(self, comp: int) -> bool:
-        return comp in set(self.sink_index)
+    @cached_property
+    def sink_analysis(self) -> list:
+        """SinkAnalysis of every sink, in `sinks` order, computed on first use.
+
+        Raises PeriodicComponent on a periodic sink, where the long-term
+        closed forms do not apply.  Each sink's pi waits for its first use.
+        """
+        out = []
+        for z in self.sinks:
+            if not is_aperiodic(z, self.graph):
+                raise PeriodicComponent(f"sink component containing node {z[0]} is periodic")
+            bal = classify_balance(z, self.graph)
+            for a in (bal.nodes, bal.in_s):
+                if a is not None:
+                    a.setflags(write=False)
+            out.append(SinkAnalysis(self.graph, bal))
+        return out
 
     def px(self) -> Block:
         return self._block(("x",))
@@ -116,39 +160,25 @@ class Decomposition:
         return loc
 
     def _block(self, key) -> Block:
-        if key in self._blocks:
-            return self._blocks[key]
-        G = self.graph
-        x = self.non_sink
-        if key[0] == "x":
-            loc = self._local_index(x)
-            mask = (loc[G.sources] >= 0) & (loc[G.targets] >= 0)
-            blk = Block(
-                loc[G.sources[mask]], loc[G.targets[mask]],
-                G.transition_coef[mask], x.size, x.size,
-            )
-        elif key[0] == "y":
-            z = self.sinks[key[1]]
-            locx, locz = self._local_index(x), self._local_index(z)
-            mask = (locx[G.sources] >= 0) & (locz[G.targets] >= 0)
-            blk = Block(
-                locx[G.sources[mask]], locz[G.targets[mask]],
-                G.transition_coef[mask], x.size, z.size,
-            )
-        else:
-            z = self.sinks[key[1]]
-            loc = self._local_index(z)
-            mask = loc[G.sources] >= 0  # sink rows have no outgoing edges
-            blk = Block(
-                loc[G.sources[mask]], loc[G.targets[mask]],
-                G.transition_coef[mask], z.size, z.size,
-            )
-        self._blocks[key] = blk
-        return blk
+        if key not in self._blocks:
+            G = self.graph
+            rows = self.sinks[key[1]] if key[0] == "z" else self.non_sink
+            cols = self.non_sink if key[0] == "x" else self.sinks[key[1]]
+            loc_r, loc_c = self._local_index(rows), self._local_index(cols)
+            mask = (loc_r[G.sources] >= 0) & (loc_c[G.targets] >= 0)
+            self._blocks[key] = Block(loc_r[G.sources[mask]], loc_c[G.targets[mask]],
+                                      G.transition_coef[mask], rows.size, cols.size)
+        return self._blocks[key]
 
 
 def decompose(G: SignedDigraph) -> Decomposition:
-    """Tarjan condensation with deterministic component numbering."""
+    """Tarjan condensation with deterministic component numbering.
+
+    The graph is immutable, so the result is cached on it: every later call
+    returns the same Decomposition.
+    """
+    if G._decomposition is not None:
+        return G._decomposition
     n = G.n
     index = np.full(n, -1, dtype=np.int64)
     low = np.zeros(n, dtype=np.int64)
@@ -205,12 +235,9 @@ def decompose(G: SignedDigraph) -> Decomposition:
     cross = scc_id[G.sources] != scc_id[G.targets]
     has_out[scc_id[G.sources[cross]]] = True
     sink_index = [i for i in range(len(comps)) if not has_out[i]]
-    sink_set = set(sink_index)
-    non_sink = np.sort(
-        np.concatenate([comps[i] for i in range(len(comps)) if i not in sink_set] or
-                       [np.array([], dtype=np.int64)])
-    )
-    return Decomposition(G, scc_id, comps, sink_index, non_sink)
+    non_sink = np.nonzero(has_out[scc_id])[0]
+    G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink)
+    return G._decomposition
 
 
 def _component_edges(G: SignedDigraph, nodes: np.ndarray):
@@ -222,84 +249,64 @@ def _component_edges(G: SignedDigraph, nodes: np.ndarray):
     return nodes, loc[G.sources[mask]], loc[G.targets[mask]], G.signs[mask], mask
 
 
-def _check_scc(k: int, src, dst, what: str) -> list:
+def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Hop distance from local node 0 along edges src -> dst; -1 where unreached.
+
+    Level-synchronous: each step expands the whole frontier at once through
+    a local CSR of the edges.
+    """
+    adj = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    level = np.full(k, -1, dtype=np.int64)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        start = indptr[frontier]
+        count = indptr[frontier + 1] - start
+        # the out-edge slots of every frontier node, concatenated
+        slots = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        reached = adj[slots]
+        frontier = np.unique(reached[level[reached] < 0])
+        level[frontier] = depth
+    return level
+
+
+def _check_scc(k: int, src, dst, what: str) -> np.ndarray:
     """BFS both ways from local node 0; raises unless the set is one SCC.
 
-    Returns the forward adjacency lists, reused by callers.
+    Returns the forward BFS levels, reused by callers.
     """
-    fwd = [[] for _ in range(k)]
-    rev = [[] for _ in range(k)]
-    for s, t in zip(src, dst):
-        fwd[s].append(t)
-        rev[t].append(s)
-    for adj in (fwd, rev):
-        seen = np.zeros(k, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
-        if not seen.all():
-            raise NotStronglyConnected(f"{what}: node set is not a single SCC")
-    return fwd
+    level = _bfs_levels(k, src, dst)
+    if level.min() < 0 or _bfs_levels(k, dst, src).min() < 0:
+        raise NotStronglyConnected(f"{what}: node set is not a single SCC")
+    return level
 
 
 def is_aperiodic(nodes, G: SignedDigraph) -> bool:
     """True iff the SCC's cycle-length gcd is 1, via BFS level labeling."""
     nodes, src, dst, _, _ = _component_edges(G, nodes)
-    k = nodes.size
-    fwd = _check_scc(k, src, dst, "is_aperiodic")
-    level = np.full(k, -1, dtype=np.int64)
-    level[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in fwd[u]:
-                if level[v] == -1:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for s, t in zip(src, dst):
-        g = math.gcd(g, abs(int(level[s]) + 1 - int(level[t])))
-        if g == 1:
-            return True
-    return g == 1
+    level = _check_scc(nodes.size, src, dst, "is_aperiodic")
+    return bool(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])) == 1)
 
 
 def _two_color(k: int, src, dst, want_same) -> np.ndarray | None:
     """2-color the undirected sign skeleton; None when inconsistent.
 
     want_same[e] is True when edge e constrains its endpoints to equal
-    colors.  The component is connected, so one BFS from node 0 suffices;
-    a final full edge scan is the verdict.
+    colors.  The BFS runs on the signed double cover: node v has a copy
+    v + k, an edge wanting equal colors joins like copies and one wanting
+    opposite colors joins unlike copies, in both directions.  The skeleton
+    is connected, so a coloring exists iff node 0's copy is unreachable;
+    the color of v is whether v itself is reached, so node 0 is colored 1.
     """
-    adj = [[] for _ in range(k)]
-    for s, t, same in zip(src, dst, want_same):
-        adj[s].append((t, same))
-        adj[t].append((s, same))
-    color = np.full(k, -1, dtype=np.int8)
-    color[0] = 1
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, same in adj[u]:
-                want = color[u] if same else 1 - color[u]
-                if color[v] == -1:
-                    color[v] = want
-                    nxt.append(v)
-        frontier = nxt
-    same_ok = color[src] == color[dst]
-    if np.array_equal(same_ok, np.asarray(want_same)):
-        return color.astype(bool)
-    return None
+    flip = np.where(want_same, 0, k)
+    a = np.concatenate([src, src + k])
+    b = np.concatenate([dst + flip, dst + k - flip])
+    reached = _bfs_levels(2 * k, np.concatenate([a, b]), np.concatenate([b, a])) >= 0
+    return None if reached[k] else reached[:k]
 
 
 def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
@@ -314,18 +321,12 @@ def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
     k = nodes.size
     _check_scc(k, src, dst, "classify_balance")
     positive = signs > 0
-    in_s = _two_color(k, src, dst, positive)
-    if in_s is not None:
-        kind = BalanceKind.BALANCED
-    else:
-        in_s = _two_color(k, src, dst, ~positive)
-        if in_s is not None:
-            kind = BalanceKind.ANTI_BALANCED
-        else:
-            return BalanceClass(BalanceKind.STRICTLY_UNBALANCED, nodes, None)
-    if not in_s[0]:  # canonical: smallest node id sits in S
-        in_s = ~in_s
-    return BalanceClass(kind, nodes, in_s)
+    for kind, want_same in ((BalanceKind.BALANCED, positive),
+                            (BalanceKind.ANTI_BALANCED, ~positive)):
+        in_s = _two_color(k, src, dst, want_same)
+        if in_s is not None:  # canonical: node 0 is colored 1, so it lies in S
+            return BalanceClass(kind, nodes, in_s)
+    return BalanceClass(BalanceKind.STRICTLY_UNBALANCED, nodes, None)
 
 
 def _power_iteration_cap(k: int) -> int:

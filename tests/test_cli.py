@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
+from signedvoter import cli, dynamics, maximize, structure
 from signedvoter.cli import main
 
 BAL_CFG = "family = balanced\nsizes = 6, 9\nedges_per_node = 3\nseed = 11\n"
@@ -252,3 +253,25 @@ def test_usage_error_on_bad_seeds(wc_graph, tmp_path):
                  "--t", "2", "--out", str(tmp_path / "x")]) == 1
     assert main(["dynamics", "--graph", wc_graph, "--seeds", "999",
                  "--t", "2", "--out", str(tmp_path / "y")]) == 1
+
+
+def test_compare_analyses_each_sink_once(tmp_path, monkeypatch):
+    cfg = Path(__file__).parent.parent / "configs" / "weakly_connected.cfg"
+    G = sv.generate(sv.parse_generator_config(cfg.read_text()))
+    graph = tmp_path / "wc.edges"
+    graph.write_text(sv.serialize(G))
+    calls = {}
+    for name in ("stationary", "classify_balance"):
+        original = getattr(structure, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        for module in (structure, dynamics, maximize, cli):  # every importing namespace
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(["compare", "--graph", str(graph), "--k", "20", "--t", "3", "--trials", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    sinks = len(sv.decompose(G).sinks)
+    assert calls == {"stationary": sinks, "classify_balance": sinks}

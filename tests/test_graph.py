@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
-from signedvoter.errors import DanglingNode, DuplicateEdge, MalformedLine, ZeroWeightEdge
+from signedvoter.errors import (
+    DanglingNode,
+    DuplicateEdge,
+    MalformedLine,
+    NonFiniteWeight,
+    ZeroWeightEdge,
+)
 
 from helpers import dense_ground, dense_p, random_graph
 
@@ -168,3 +174,36 @@ def test_graph_arrays_immutable():
     G = sv.from_edge_list([(0, 1, 1), (1, 0, -1)])
     with pytest.raises(ValueError):
         G.signs[0] = -1
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(weight):
+    with pytest.raises(NonFiniteWeight):
+        sv.from_edge_list([(0, 1, weight), (1, 0, 1)])
+
+
+def _graph_with(**bad):
+    """A valid 3-node graph rebuilt directly from its arrays, some replaced."""
+    G = sv.from_edge_list([(0, 1, 1), (0, 2, -1), (1, 0, 1), (2, 0, 1), (2, 1, 2)])
+    arrays = {name: getattr(G, name).copy()
+              for name in ("indptr", "targets", "weights", "signs", "out_weight")}
+    arrays.update({name: np.asarray(value) for name, value in bad.items()})
+    return sv.SignedDigraph(G.n, **arrays)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ({"weights": [1.0, np.nan, 1.0, 1.0, 2.0]}, NonFiniteWeight, "NaN or infinite"),
+    ({"weights": [1.0, np.inf, 1.0, 1.0, 2.0]}, NonFiniteWeight, "NaN or infinite"),
+    ({"weights": [1.0, 0.0, 1.0, 1.0, 2.0]}, ZeroWeightEdge, "non-positive"),
+    ({"signs": np.array([1, 2, 1, 1, 1], dtype=np.int8)}, MalformedLine, "signs"),
+    ({"indptr": [0, 2, 2, 5]}, DanglingNode, "without out-edges"),
+    ({"targets": [2, 1, 0, 0, 1]}, DuplicateEdge, "node 0 "),
+    ({"targets": [1, 2, 0, 1, 1]}, DuplicateEdge, "node 2 "),
+    ({"out_weight": [2.0, 1.0, 4.0]}, MalformedLine, "out_weight"),
+    ({"out_weight": [2.0, np.nan, 3.0]}, MalformedLine, "out_weight"),
+], ids=["nan-weight", "inf-weight", "zero-weight", "bad-sign", "dangling",
+        "unsorted-targets", "duplicate-target", "wrong-out-weight", "nan-out-weight"])
+def test_validate_failure_branches(bad, error, message):
+    _graph_with().validate()  # targets decrease across node boundaries, which is fine
+    with pytest.raises(error, match=message):
+        _graph_with(**bad).validate()

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
-from signedvoter.errors import NotStronglyConnected
+from signedvoter.errors import NoConvergence, NotStronglyConnected, PeriodicComponent, WrongKind
 from signedvoter.structure import BalanceKind
 
-from helpers import dense_p, random_graph, small_family
+from helpers import build_shape, dense_p, random_graph, small_family
 
 
 def test_decompose_strongly_connected():
@@ -214,3 +214,53 @@ def test_stationary_rejects_open_component():
     G = sv.from_edge_list([(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 2, 1)])
     with pytest.raises(NotStronglyConnected):
         sv.stationary([0, 1], G)  # SCC, but leaks into node 2
+
+
+def test_decomposition_and_sink_analysis_cached_on_graph():
+    rng = np.random.default_rng(12)
+    G = small_family(rng, "weakly_connected")
+    d = sv.decompose(G)
+    assert sv.decompose(G) is d
+    assert d.sink_analysis is d.sink_analysis
+    for z, sink in zip(d.sinks, d.sink_analysis):
+        bal = sv.classify_balance(z, G)
+        assert sink.balance.kind is bal.kind
+        assert np.array_equal(sink.balance.nodes, z)
+        assert np.array_equal(sink.balance.in_s, bal.in_s)
+        assert np.array_equal(sink.pi, sv.stationary(z, G))
+        assert not sink.pi.flags.writeable and not sink.balance.in_s.flags.writeable
+    first = sv.steady_state(G, np.ones(G.n))
+    again = sv.steady_state(G, np.ones(G.n))
+    assert np.array_equal(first.x_even, again.x_even)
+    # a new graph object with the same arrays starts from an empty cache
+    assert sv.decompose(sv.negate_signs(sv.negate_signs(G))) is not d
+
+
+def test_sink_analysis_rejects_periodic_sink():
+    C4 = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+    with pytest.raises(PeriodicComponent):
+        sv.decompose(C4).sink_analysis
+
+
+def test_stationary_computed_only_where_needed(monkeypatch):
+    """svim_l needs pi only on balanced sinks; oscillation_seeds only after its kind check."""
+    rng = np.random.default_rng(5)
+    G = build_shape(rng, 4, [("balanced", (3, 3)), ("strictly_unbalanced", (4,)),
+                             ("anti_balanced", (3, 2))])
+    fresh = sv.negate_signs(sv.negate_signs(G))  # same graph, empty cache
+    expect = sv.contribution_longterm(fresh).c
+    original = sv.structure.stationary
+
+    def balanced_only(nodes, graph, *args, **kwargs):
+        if sv.classify_balance(nodes, graph).kind is not BalanceKind.BALANCED:
+            raise NoConvergence("stationary must not run on this sink")
+        return original(nodes, graph, *args, **kwargs)
+
+    monkeypatch.setattr(sv.structure, "stationary", balanced_only)
+    assert np.array_equal(sv.contribution_longterm(G).c, expect)
+    assert sv.svim_l(G, 3).nodes == sv.svim_l(fresh, 3).nodes
+
+    B = build_shape(rng, 2, [("balanced", (3, 3))])
+    monkeypatch.setattr(sv.structure, "stationary", lambda *a, **kw: 1 / 0)
+    with pytest.raises(WrongKind):
+        sv.oscillation_seeds(B, 2)
