@@ -6,7 +6,7 @@ tool version and wall-clock duration; deterministic subcommands reproduce
 their output files byte-for-byte when replayed.
 
 Exit codes: 0 success, 1 usage error, 2 data error (parsing or graph
-invariants), 3 numeric failure (no convergence / slow mixing).
+invariants), 3 numeric failure (no convergence, slow mixing, left [0, 1]).
 """
 
 import argparse
@@ -21,17 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import propagate, step, steady_state
-from .errors import (
-    GenerationFailed,
-    GraphDataError,
-    NotStronglyConnected,
-    NumericFailure,
-    PeriodicComponent,
-    SignedVoterError,
-    SlowMixing,
-    TooLarge,
-    WrongKind,
-)
+from .errors import NumericFailure, SignedVoterError, SlowMixing
 from .generate import generate, parse_generator_config
 from .graph import SignedDigraph, indicator, parse_snap, serialize
 from .maximize import (
@@ -40,11 +30,12 @@ from .maximize import (
     contribution_longterm,
     heuristic_seeds,
     oscillation_seeds,
+    select_top,
     svim_l,
     svim_s,
 )
 from .simulate import mc_run
-from .structure import BalanceKind, classify_balance, decompose, is_aperiodic
+from .structure import BalanceKind, decompose
 
 SCHEMAS = {
     "trajectory.csv": "trajectory.v1",
@@ -58,15 +49,6 @@ _KIND_LABEL = {
     BalanceKind.ANTI_BALANCED: "AntiBalanced",
     BalanceKind.STRICTLY_UNBALANCED: "StrictlyUnbalanced",
 }
-
-_DATA_ERRORS = (
-    GraphDataError,
-    GenerationFailed,
-    NotStronglyConnected,
-    PeriodicComponent,
-    WrongKind,
-    TooLarge,
-)
 
 _ADAPTIVE_CAP = 10**6  # convergence can be exponentially slow; fail loudly instead
 
@@ -161,15 +143,28 @@ def _load_graph(args) -> tuple[SignedDigraph, str]:
     raise UsageError("one of --graph or --generate is required")
 
 
+def _check_ranges(args) -> None:
+    """Reject out-of-range counts and horizons before any work starts."""
+    low = {"k": 0, "trials": 1 if args.command == "simulate" else 0}
+    if args.command != "maximize":  # maximize reads --t only for short-term objectives
+        low["t"] = 0
+    short_term = getattr(args, "objective", None) in ("instant", "average")
+    if short_term and not getattr(args, "baseline", None):
+        low["t"] = 1
+    for name, bound in low.items():
+        value = getattr(args, name, None)
+        if value is not None and value < bound:
+            raise UsageError(f"--{name} must be >= {bound}, got {value}")
+
+
 def _parse_seeds(value: str, n: int) -> list:
     value = value.strip()
     if not value:
         return []
+    tokens = value.replace(",", " ").split()
     path = Path(value)
-    if path.exists():
+    if not all(tok.isdigit() for tok in tokens) and path.exists():  # an id list is never a path
         tokens = path.read_text(encoding="utf-8").split()
-    else:
-        tokens = [tok for tok in value.replace(",", " ").split() if tok]
     try:
         seeds = sorted({int(tok) for tok in tokens})
     except ValueError:
@@ -210,20 +205,19 @@ def _cmd_classify(args, out: Path) -> None:
     sink_set = set(decomp.sink_index)
     records = []
     for cid, comp in enumerate(decomp.components):
+        facts = decomp.analysis(cid)
         record = {
             "component_id": cid,
             "size": int(comp.size),
             "sink": cid in sink_set,
-            "aperiodic": bool(is_aperiodic(comp, G)),
+            "aperiodic": facts.aperiodic,
+            "kind": "Periodic",
+            "s_size": 0,
+            "sbar_size": 0,
         }
-        if record["aperiodic"]:
-            bal = classify_balance(comp, G)
-            record["kind"] = _KIND_LABEL[bal.kind]
-            record["s_size"] = bal.size_s
-            record["sbar_size"] = bal.size_sbar
-        else:
-            record["kind"] = "Periodic"
-            record["s_size"] = record["sbar_size"] = 0
+        bal = facts.balance
+        if bal is not None:
+            record.update(kind=_KIND_LABEL[bal.kind], s_size=bal.size_s, sbar_size=bal.size_sbar)
         records.append(record)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     (out / "components.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -310,14 +304,18 @@ def _cmd_simulate(args, out: Path) -> None:
 
 def _cmd_maximize(args, out: Path) -> None:
     G, _ = _load_graph(args)
+    cv = None
     if args.baseline:
         chosen = heuristic_seeds(G, args.k, args.baseline, rng_seed=args.rng_seed)
-    elif args.objective == "longterm":
-        chosen = svim_l(G, args.k)
     elif args.objective == "oscillation":
         chosen = oscillation_seeds(G, args.k)
     else:
-        chosen = svim_s(G, args.t, args.k, mode=args.objective)
+        cv = {
+            "instant": lambda: contribution_instant(G, args.t),
+            "average": lambda: contribution_average(G, args.t),
+            "longterm": lambda: contribution_longterm(G),
+        }[args.objective]()
+        chosen = select_top(cv, args.k)
     _write_json(out / "seeds.json", {
         "objective": chosen.objective,
         "k": args.k,
@@ -326,12 +324,7 @@ def _cmd_maximize(args, out: Path) -> None:
         "count": len(chosen.nodes),
         "value": chosen.value,
     })
-    if args.contributions and not args.baseline and args.objective != "oscillation":
-        cv = {
-            "instant": lambda: contribution_instant(G, args.t),
-            "average": lambda: contribution_average(G, args.t),
-            "longterm": lambda: contribution_longterm(G),
-        }[args.objective]()
+    if args.contributions and cv is not None:
         rows = [[i, _fmt(cv.c[i])] for i in range(G.n)]
         _write_csv(out / "contributions.csv", ["node", "contribution"], rows)
 
@@ -400,23 +393,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
+        _check_ranges(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except SignedVoterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, SignedVoterError) as exc:  # every other package error is about the input
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
 
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SlowMixing, WrongKind
+from .errors import LeftUnitInterval, NoConvergence, SlowMixing, WrongKind
 from .graph import SignedDigraph, apply_p
 from .structure import BalanceKind, Decomposition, decompose
 
@@ -43,7 +43,7 @@ def step(G: SignedDigraph, x) -> np.ndarray:
     y = apply_p(G, x) + g
     lo, hi = y.min(), y.max()
     if lo < -_CLAMP_SLACK or hi > 1.0 + _CLAMP_SLACK:
-        raise RuntimeError(f"propagated distribution escaped [0,1] by {max(-lo, hi - 1.0):.3e}")
+        raise LeftUnitInterval(f"propagated distribution escaped [0,1] by {max(-lo, hi - 1.0):.3e}")
     return np.clip(y, 0.0, 1.0)
 
 
@@ -226,7 +226,7 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
     for arr in (x_even, x_odd):
         lo, hi = arr.min(), arr.max()
         if lo < -1e-9 or hi > 1.0 + 1e-9:
-            raise RuntimeError(f"steady state escaped [0,1] by {max(-lo, hi - 1.0):.3e}")
+            raise LeftUnitInterval(f"steady state escaped [0,1] by {max(-lo, hi - 1.0):.3e}")
         np.clip(arr, 0.0, 1.0, out=arr)
 
     if oscillating:

@@ -57,6 +57,10 @@ class SlowMixing(NumericFailure):
     """Propagation hit the step cap before same-parity convergence."""
 
 
+class LeftUnitInterval(NumericFailure):
+    """A computed white probability left [0, 1] by more than roundoff."""
+
+
 class WrongKind(SignedVoterError):
     """Operation applied to a steady state or component of the wrong kind."""
 

@@ -6,7 +6,8 @@ graph whose first part feeds two balanced sinks; disconnected unions; and
 the two-lobe slow-mixing construction whose random walk needs exponentially
 many steps to cross between lobes.  Generation is deterministic for a fixed
 seed, and every structural claim (ergodicity, balance class, sink layout)
-is re-checked with the structure module, regenerating up to a retry budget.
+is re-checked against the graph's component analysis, regenerating up to a
+retry budget.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import GenerationFailed, InvalidConfig
 from .graph import SignedDigraph, from_edge_list
-from .structure import BalanceKind, classify_balance, decompose, is_aperiodic
+from .structure import BalanceKind, decompose
 
 FAMILIES = (
     "balanced",
@@ -150,7 +151,10 @@ def _random_signs(rng, edges):
 
 
 def _balanced_pair(rng, part_a, part_b, epn, cross, taken):
-    """Two ergodic parts, positive inside, negative across (both directions)."""
+    """Two ergodic parts, positive inside, negative across (both directions);
+    `cross` None means epn edges across per node of the smaller part."""
+    if cross is None:
+        cross = min(part_a.size, part_b.size) * epn
     edges = _signed(_ergodic_part(rng, part_a, epn, taken), +1)
     edges += _signed(_ergodic_part(rng, part_b, epn, taken), +1)
     flip = rng.integers(0, 2, size=cross).astype(bool)
@@ -165,6 +169,25 @@ def _check(cond, msg):
         raise GenerationFailed(msg)
 
 
+def _check_layout(G: SignedDigraph, layout) -> SignedDigraph:
+    """Raise GenerationFailed unless G's SCCs are exactly `layout`.
+
+    `layout` holds one (ascending nodes, balance kind, is sink) triple per
+    component; the node sets partition the graph.  A periodic component
+    never matches, since only aperiodic components have a balance kind.
+    """
+    d = decompose(G)
+    _check(d.n_components == len(layout), "component count differs from the requested family")
+    for nodes, kind, sink in layout:
+        cid = int(d.scc_id[nodes[0]])
+        _check(np.array_equal(d.components[cid], nodes),
+               f"nodes {nodes.min()}..{nodes.max()} are not one component")
+        _check((cid in d.sink_index) == sink, f"component {cid} has the wrong sink flag")
+        bal = d.analysis(cid).balance
+        _check(bal is not None and bal.kind is kind, f"component {cid} is not {kind.value}")
+    return G
+
+
 def _build_once(cfg: GeneratorConfig, rng) -> SignedDigraph:
     sizes = cfg.sizes
     epn = cfg.edges_per_node
@@ -173,74 +196,37 @@ def _build_once(cfg: GeneratorConfig, rng) -> SignedDigraph:
     taken: set = set()
 
     if cfg.family in ("balanced", "anti_balanced", "strictly_unbalanced"):
-        cross = cfg.cross_edges if cfg.cross_edges is not None else min(sizes) * epn
-        edges = _balanced_pair(rng, parts[0], parts[1], epn, cross, taken)
+        edges = _balanced_pair(rng, parts[0], parts[1], epn, cfg.cross_edges, taken)
         if cfg.family == "anti_balanced":
             edges = [(a, b, -s) for a, b, s in edges]
         elif cfg.family == "strictly_unbalanced":
             edges = _random_signs(rng, [(a, b) for a, b, _ in edges])
-        G = from_edge_list(edges)
-        d = decompose(G)
-        _check(d.n_components == 1, "graph is not strongly connected")
-        _check(is_aperiodic(d.components[0], G), "graph is periodic")
-        want = BalanceKind[cfg.family.upper()]
-        _check(classify_balance(d.components[0], G).kind is want,
-               f"classification is not {cfg.family}")
-        return G
+        layout = [(np.arange(sum(sizes)), BalanceKind[cfg.family.upper()], True)]
+        return _check_layout(from_edge_list(edges), layout)
 
     if cfg.family in ("weakly_connected", "disconnected", "disconnected_with_wcc"):
-        if cfg.family == "disconnected_with_wcc":
-            big, rest = sizes[:2], sizes[2:]
-        else:
-            big, rest = None, sizes
         edges = []
-        if big is not None:
-            cross = cfg.cross_edges if cfg.cross_edges is not None else min(big) * epn
-            edges += _balanced_pair(rng, parts[0], parts[1], epn, cross, taken)
-        shift = 0 if big is None else 2
-        p1, p2, p3, p4, p5 = parts[shift:shift + 5]
+        big = cfg.family == "disconnected_with_wcc"  # a balanced pair ahead of parts 1-5
+        if big:
+            edges += _balanced_pair(rng, parts[0], parts[1], epn, cfg.cross_edges, taken)
+        p1, p2, p3, p4, p5 = parts[-5:]
         edges += _random_signs(rng, _ergodic_part(rng, p1, epn, taken))
-        cross23 = cfg.cross_edges if cfg.cross_edges is not None else min(p2.size, p3.size) * epn
-        cross45 = cfg.cross_edges if cfg.cross_edges is not None else min(p4.size, p5.size) * epn
-        edges += _balanced_pair(rng, p2, p3, epn, cross23, taken)
-        edges += _balanced_pair(rng, p4, p5, epn, cross45, taken)
+        edges += _balanced_pair(rng, p2, p3, epn, cfg.cross_edges, taken)
+        edges += _balanced_pair(rng, p4, p5, epn, cfg.cross_edges, taken)
         if cfg.family != "disconnected":
             links = cfg.link_edges if cfg.link_edges is not None else 6 * p1.size
             sinks_pool = np.concatenate([p2, p3, p4, p5])
             edges += _random_signs(
                 rng, _random_distinct_pairs(rng, p1, sinks_pool, links, taken)
             )
-        G = from_edge_list(edges)
-        d = decompose(G)
-        z23 = np.concatenate([p2, p3])
-        z45 = np.concatenate([p4, p5])
-        if cfg.family == "weakly_connected":
-            expected_sinks = [z23, z45]
-        elif cfg.family == "disconnected":
-            expected_sinks = [p1, z23, z45]
-        else:
-            expected_sinks = [np.concatenate([parts[0], parts[1]]), z23, z45]
-        got = sorted(sorted(s.tolist()) for s in d.sinks)
-        _check(got == sorted(sorted(s.tolist()) for s in expected_sinks),
-               "sink layout differs from the requested family")
-        for z in d.sinks:
-            _check(is_aperiodic(z, G), "a sink component is periodic")
-        kinds = {tuple(sorted(z.tolist())): classify_balance(z, G).kind for z in d.sinks}
-        _check(kinds[tuple(sorted(z23.tolist()))] is BalanceKind.BALANCED, "pair-23 not balanced")
-        _check(kinds[tuple(sorted(z45.tolist()))] is BalanceKind.BALANCED, "pair-45 not balanced")
-        if cfg.family == "disconnected":
-            _check(kinds[tuple(p1.tolist())] is BalanceKind.STRICTLY_UNBALANCED,
-                   "part-1 not strictly unbalanced")
-            _check(d.non_sink.size == 0, "disconnected family must have no non-sink nodes")
-        else:
-            _check(np.array_equal(d.non_sink, p1), "non-sink set is not part 1")
-            _check(is_aperiodic(p1, G), "part 1 is periodic")
-            _check(classify_balance(p1, G).kind is BalanceKind.STRICTLY_UNBALANCED,
-                   "part 1 not strictly unbalanced")
-        if big is not None:
-            _check(kinds[tuple(sorted(np.concatenate([parts[0], parts[1]]).tolist()))]
-                   is BalanceKind.BALANCED, "big component not balanced")
-        return G
+        layout = [
+            (p1, BalanceKind.STRICTLY_UNBALANCED, cfg.family == "disconnected"),
+            (np.concatenate([p2, p3]), BalanceKind.BALANCED, True),
+            (np.concatenate([p4, p5]), BalanceKind.BALANCED, True),
+        ]
+        if big:
+            layout.append((np.concatenate([parts[0], parts[1]]), BalanceKind.BALANCED, True))
+        return _check_layout(from_edge_list(edges), layout)
 
     raise InvalidConfig(f"unhandled family {cfg.family!r}")
 

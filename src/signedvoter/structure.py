@@ -1,11 +1,11 @@
 """Condensation into SCCs, sink detection, balance classification, stationary law.
 
-Strong connectivity, the period and the balance class of a component all come
-from one vectorized breadth-first search.  `decompose` runs once per graph
-and is cached on it.  Its per-sink analysis is shared by every long-term
-routine: each sink's balance class is computed on first use of the
-analysis, and its stationary law on first use of that law, so the whole
-analysis lives as long as the graph does.
+`decompose` runs once per graph and is cached on it.  Its `analysis(i)` is
+the one place that asks whether component i is aperiodic and balanced,
+anti-balanced or strictly unbalanced; `classify`, `generate` and the
+long-term routines all read it.  The checks share one vectorized BFS, and
+they and every block of P read edges through `_restrict`, which touches only
+the CSR rows of the node set.
 """
 
 import math
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
-from .graph import SignedDigraph
+from .graph import SignedDigraph, scatter
 
 
 class BalanceKind(Enum):
@@ -48,21 +48,22 @@ class BalanceClass:
 
 
 @dataclass
-class SinkAnalysis:
-    """Long-term facts of one ergodic sink: its balance class and stationary law.
+class ComponentAnalysis:
+    """Long-term facts of one SCC: aperiodicity, balance class, stationary law.
 
-    `balance.nodes` are the sink's nodes; `pi` is aligned with them and is
-    computed on first access, so callers that need only the balance class
-    never run the power iteration.  The arrays are shared by every caller
-    and therefore read-only.
+    `balance` is None on a periodic component.  `pi` (sinks only) is aligned
+    with `nodes` and computed on first access.  The balance arrays and `pi`
+    are shared by every caller and therefore read-only.
     """
 
     graph: SignedDigraph = field(repr=False)
-    balance: BalanceClass
+    nodes: np.ndarray
+    aperiodic: bool
+    balance: BalanceClass | None
 
     @cached_property
     def pi(self) -> np.ndarray:
-        pi = stationary(self.balance.nodes, self.graph)
+        pi = stationary(self.nodes, self.graph)
         pi.setflags(write=False)
         return pi
 
@@ -82,18 +83,10 @@ class Block:
         self.ncols = ncols
 
     def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim == 1:
-            return np.bincount(self.rows, weights=self.coef * v[self.cols], minlength=self.nrows)
-        cols = [
-            np.bincount(self.rows, weights=self.coef * v[self.cols, k], minlength=self.nrows)
-            for k in range(v.shape[1])
-        ]
-        return np.stack(cols, axis=1)
+        return scatter(self.rows, self.cols, self.coef, np.asarray(v, dtype=np.float64), self.nrows)
 
     def apply_t(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return np.bincount(self.cols, weights=self.coef * v[self.rows], minlength=self.ncols)
+        return scatter(self.cols, self.rows, self.coef, np.asarray(v, dtype=np.float64), self.ncols)
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.nrows, self.ncols))
@@ -109,7 +102,8 @@ class Decomposition:
     component array is sorted ascending.  Sinks are components with no
     outgoing condensation edge; `non_sink` is everything else, sorted.
     Block views restrict the signed transition matrix to non-sink rows
-    (px), non-sink-to-sink couplings (py) and each sink (pz).
+    (px), non-sink-to-sink couplings (py) and each sink (pz); `analysis(i)`
+    holds the long-term facts of component i.  Both are built on first use.
     """
 
     graph: SignedDigraph
@@ -118,6 +112,7 @@ class Decomposition:
     sink_index: list
     non_sink: np.ndarray
     _blocks: dict = field(default_factory=dict, repr=False)
+    _analyses: dict = field(default_factory=dict, repr=False)
 
     @property
     def sinks(self) -> list:
@@ -127,22 +122,31 @@ class Decomposition:
     def n_components(self) -> int:
         return len(self.components)
 
+    def analysis(self, i: int) -> ComponentAnalysis:
+        """Aperiodicity and balance class of component i, computed on first use."""
+        if i not in self._analyses:
+            comp = self.components[i]
+            aperiodic = is_aperiodic(comp, self.graph)
+            bal = None
+            if aperiodic:
+                bal = classify_balance(comp, self.graph)
+                for a in (bal.nodes, bal.in_s):
+                    if a is not None:
+                        a.setflags(write=False)
+            self._analyses[i] = ComponentAnalysis(self.graph, comp, aperiodic, bal)
+        return self._analyses[i]
+
     @cached_property
     def sink_analysis(self) -> list:
-        """SinkAnalysis of every sink, in `sinks` order, computed on first use.
+        """ComponentAnalysis of every sink, in `sinks` order.
 
         Raises PeriodicComponent on a periodic sink, where the long-term
-        closed forms do not apply.  Each sink's pi waits for its first use.
+        closed forms do not apply.
         """
-        out = []
-        for z in self.sinks:
-            if not is_aperiodic(z, self.graph):
-                raise PeriodicComponent(f"sink component containing node {z[0]} is periodic")
-            bal = classify_balance(z, self.graph)
-            for a in (bal.nodes, bal.in_s):
-                if a is not None:
-                    a.setflags(write=False)
-            out.append(SinkAnalysis(self.graph, bal))
+        out = [self.analysis(i) for i in self.sink_index]
+        for a in out:
+            if not a.aperiodic:
+                raise PeriodicComponent(f"sink component containing node {a.nodes[0]} is periodic")
         return out
 
     def px(self) -> Block:
@@ -154,20 +158,13 @@ class Decomposition:
     def pz(self, sink: int) -> Block:
         return self._block(("z", sink))
 
-    def _local_index(self, nodes: np.ndarray) -> np.ndarray:
-        loc = np.full(self.graph.n, -1, dtype=np.int64)
-        loc[nodes] = np.arange(nodes.size)
-        return loc
-
     def _block(self, key) -> Block:
         if key not in self._blocks:
-            G = self.graph
             rows = self.sinks[key[1]] if key[0] == "z" else self.non_sink
             cols = self.non_sink if key[0] == "x" else self.sinks[key[1]]
-            loc_r, loc_c = self._local_index(rows), self._local_index(cols)
-            mask = (loc_r[G.sources] >= 0) & (loc_c[G.targets] >= 0)
-            self._blocks[key] = Block(loc_r[G.sources[mask]], loc_c[G.targets[mask]],
-                                      G.transition_coef[mask], rows.size, cols.size)
+            src, dst, eid = _restrict(self.graph, rows, cols)
+            self._blocks[key] = Block(src, dst, self.graph.transition_coef[eid],
+                                      rows.size, cols.size)
         return self._blocks[key]
 
 
@@ -240,13 +237,26 @@ def decompose(G: SignedDigraph) -> Decomposition:
     return G._decomposition
 
 
-def _component_edges(G: SignedDigraph, nodes: np.ndarray):
-    """Local (src, dst, sign) arrays for edges with both ends in `nodes`."""
-    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges start[i] : start[i] + count[i], concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _restrict(G: SignedDigraph, rows: np.ndarray, cols: np.ndarray):
+    """Edges from `rows` into `cols` (sorted node ids) as (src, dst, edge ids).
+
+    src and dst are local indices into rows and cols, in global edge order.
+    Only the CSR rows of `rows` are read: the cost follows their out-degree.
+    """
+    start = G.indptr[rows]
+    count = G.indptr[rows + 1] - start
+    eid = _ranges(start, count)
     loc = np.full(G.n, -1, dtype=np.int64)
-    loc[nodes] = np.arange(nodes.size)
-    mask = (loc[G.sources] >= 0) & (loc[G.targets] >= 0)
-    return nodes, loc[G.sources[mask]], loc[G.targets[mask]], G.signs[mask], mask
+    loc[cols] = np.arange(cols.size)
+    dst = loc[G.targets[eid]]
+    keep = dst >= 0
+    src = np.repeat(np.arange(rows.size), count)
+    return src[keep], dst[keep], eid[keep]
 
 
 def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -265,30 +275,27 @@ def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     while frontier.size:
         depth += 1
         start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        # the out-edge slots of every frontier node, concatenated
-        slots = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-        reached = adj[slots]
+        reached = adj[_ranges(start, indptr[frontier + 1] - start)]
         frontier = np.unique(reached[level[reached] < 0])
         level[frontier] = depth
     return level
 
 
-def _check_scc(k: int, src, dst, what: str) -> np.ndarray:
-    """BFS both ways from local node 0; raises unless the set is one SCC.
-
-    Returns the forward BFS levels, reused by callers.
-    """
-    level = _bfs_levels(k, src, dst)
-    if level.min() < 0 or _bfs_levels(k, dst, src).min() < 0:
+def _component(G: SignedDigraph, nodes, what: str):
+    """Sorted nodes, internal edges (local src, dst, edge ids) and forward BFS
+    levels of a node set; raises unless BFS both ways from local node 0
+    reaches every node, i.e. unless the set is one SCC."""
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+    src, dst, eid = _restrict(G, nodes, nodes)
+    level = _bfs_levels(nodes.size, src, dst)
+    if level.min() < 0 or _bfs_levels(nodes.size, dst, src).min() < 0:
         raise NotStronglyConnected(f"{what}: node set is not a single SCC")
-    return level
+    return nodes, src, dst, eid, level
 
 
 def is_aperiodic(nodes, G: SignedDigraph) -> bool:
     """True iff the SCC's cycle-length gcd is 1, via BFS level labeling."""
-    nodes, src, dst, _, _ = _component_edges(G, nodes)
-    level = _check_scc(nodes.size, src, dst, "is_aperiodic")
+    _, src, dst, _, level = _component(G, nodes, "is_aperiodic")
     return bool(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])) == 1)
 
 
@@ -317,10 +324,9 @@ def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
     negating every sign.  Both checks are single 2-colorings of the
     undirected sign skeleton.
     """
-    nodes, src, dst, signs, _ = _component_edges(G, nodes)
+    nodes, src, dst, eid, _ = _component(G, nodes, "classify_balance")
     k = nodes.size
-    _check_scc(k, src, dst, "classify_balance")
-    positive = signs > 0
+    positive = G.signs[eid] > 0
     for kind, want_same in ((BalanceKind.BALANCED, positive),
                             (BalanceKind.ANTI_BALANCED, ~positive)):
         in_s = _two_color(k, src, dst, want_same)
@@ -342,15 +348,11 @@ def stationary(nodes, G: SignedDigraph, tol: float = 1e-12, residual_tol: float 
     when the iteration cap is hit.  The result is checked against
     ||pi^T Pbar - pi^T||_inf <= residual_tol.
     """
-    nodes, src, dst, _, mask = _component_edges(G, nodes)
+    nodes, src, dst, eid, _ = _component(G, nodes, "stationary")
     k = nodes.size
-    _check_scc(k, src, dst, "stationary")
-    deg_inside = np.bincount(src, minlength=k)
-    deg_total = np.diff(G.indptr)[nodes]
-    if np.any(deg_inside != deg_total):
+    if eid.size != np.diff(G.indptr)[nodes].sum():
         raise NotStronglyConnected("stationary: component has edges leaving the set")
-    coef = G.weights[mask] / G.out_weight[G.sources[mask]]
-    blk = Block(src, dst, coef, k, k)
+    blk = Block(src, dst, G.weights[eid] / G.out_weight[G.sources[eid]], k, k)
 
     pi = np.full(k, 1.0 / k)
     for _ in range(_power_iteration_cap(k)):

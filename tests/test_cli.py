@@ -275,3 +275,117 @@ def test_compare_analyses_each_sink_once(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
     sinks = len(sv.decompose(G).sinks)
     assert calls == {"stationary": sinks, "classify_balance": sinks}
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "--k", "-1"],
+    ["maximize", "--objective", "instant", "--t", "0", "--k", "2"],
+    ["maximize", "--objective", "average", "--t", "0", "--k", "2"],
+    ["compare", "--objective", "instant", "--t", "0", "--k", "2", "--trials", "0"],
+    ["compare", "--objective", "average", "--t", "0", "--k", "2", "--trials", "0"],
+    ["compare", "--t", "-1", "--k", "2", "--trials", "0"],
+    ["compare", "--k", "-1", "--trials", "0"],
+    ["compare", "--trials", "-3", "--k", "2", "--t", "2"],
+    ["dynamics", "--t", "-2"],
+    ["simulate", "--t", "-1", "--trials", "5"],
+    ["simulate", "--t", "2", "--trials", "0"],
+])
+def test_out_of_range_numbers_are_usage_errors(wc_graph, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--graph", wc_graph, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --") and err.count("\n") == 1
+    assert not out.exists()  # rejected before any work or output
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "--objective", "longterm", "--t", "0", "--k", "2"],
+    ["maximize", "--baseline", "out_degree", "--objective", "instant", "--t", "0", "--k", "2"],
+    ["compare", "--t", "0", "--k", "2", "--trials", "3"],
+    ["dynamics", "--t", "0"],
+    ["simulate", "--t", "0", "--trials", "1"],
+])
+def test_boundary_numbers_stay_valid(wc_graph, tmp_path, argv):
+    assert main(argv + ["--graph", wc_graph, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_seed_id_list_is_never_a_path(wc_graph, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "5").write_text("1 2\n")  # a file whose name is also an id list
+    out_ids, out_file = tmp_path / "ids", tmp_path / "file"
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "5", "--t", "0",
+                 "--out", str(out_ids)]) == 0
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "./5", "--t", "0",
+                 "--out", str(out_file)]) == 0
+    assert (out_ids / "trajectory.csv").read_text().splitlines()[1] == "0,1"
+    assert (out_file / "trajectory.csv").read_text().splitlines()[1] == "0,2"
+
+
+def test_unit_interval_escape_exits_numeric(wc_graph, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "apply_p", lambda G, v: v + 5.0)
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "0", "--t", "2",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_maximize_contributions_computed_once(wc_graph, tmp_path, monkeypatch):
+    calls = []
+    original = maximize.contribution_longterm
+
+    def counted(G):
+        calls.append(G)
+        return original(G)
+
+    for module in (cli, maximize):
+        monkeypatch.setattr(module, "contribution_longterm", counted)
+    out = tmp_path / "o"
+    assert main(["maximize", "--graph", wc_graph, "--objective", "longterm", "--k", "3",
+                 "--contributions", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    G = sv.parse_snap(Path(wc_graph).read_text()).graph
+    assert json.loads((out / "seeds.json").read_text())["seeds"] == sv.svim_l(G, 3).nodes
+    assert len((out / "contributions.csv").read_text().splitlines()) == G.n + 1
+
+
+# strictly unbalanced non-sink {0,1,2} feeding a balanced sink {3,4,5}, an
+# anti-balanced sink {6,7,8} and a periodic sink {9,10}
+MIXED_EDGES = """\
+0 0 1
+0 1 1
+0 9 1
+1 2 1
+1 3 1
+2 0 -1
+2 6 -1
+3 3 1
+3 4 1
+4 3 1
+4 5 -1
+5 4 -1
+6 6 -1
+6 7 -1
+7 6 -1
+7 8 1
+8 7 1
+9 10 1
+10 9 1
+"""
+
+
+def test_golden_components_jsonl(tmp_path):
+    graph = tmp_path / "mixed.edges"
+    graph.write_text(MIXED_EDGES)
+    out = tmp_path / "cls"
+    assert main(["classify", "--graph", str(graph), "--out", str(out)]) == 0
+    golden = (
+        '{"aperiodic": true, "component_id": 0, "kind": "StrictlyUnbalanced", '
+        '"s_size": 0, "sbar_size": 0, "sink": false, "size": 3}\n'
+        '{"aperiodic": true, "component_id": 1, "kind": "Balanced", '
+        '"s_size": 2, "sbar_size": 1, "sink": true, "size": 3}\n'
+        '{"aperiodic": true, "component_id": 2, "kind": "AntiBalanced", '
+        '"s_size": 2, "sbar_size": 1, "sink": true, "size": 3}\n'
+        '{"aperiodic": false, "component_id": 3, "kind": "Periodic", '
+        '"s_size": 0, "sbar_size": 0, "sink": true, "size": 2}\n'
+    )
+    assert (out / "components.jsonl").read_bytes() == golden.encode()

@@ -1,10 +1,13 @@
 """Synthetic family generator: determinism, verified structure, config parsing."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import signedvoter as sv
-from signedvoter.errors import InvalidConfig
+from signedvoter.errors import GenerationFailed, InvalidConfig
 from signedvoter.structure import BalanceKind
 
 
@@ -110,3 +113,38 @@ def test_generate_via_cross_edges_override():
     cfg = sv.GeneratorConfig("balanced", [6, 9], edges_per_node=3, cross_edges=10, seed=7)
     G = sv.generate(cfg)
     assert G.n_edges == 3 * 15 + 10
+
+
+# sha256 of serialize(generate(cfg)) for the shipped configs, recorded before
+# the structure checks moved behind Decomposition.analysis
+CONFIG_DIGESTS = {
+    "balanced.cfg": "5d5c64e4c0d8fc7d90530b5b00026ec586e67476ec22ea6893f4a0df2f4ecbc8",
+    "slow_mixing.cfg": "d1bd41a19f05050aa137e0f46d0ca1a195e3b0ad413976f9e9ad0bdd6bca528e",
+    "strictly_unbalanced.cfg": "eb54e2423de82cdb87fd5a8407d16007773cbcfa15c8adb7e41939fad52d48f2",
+    "weakly_connected.cfg": "45bed898bf80e02c259c386f951e51f8bfded970ba799f6d71b6ea74974c2da0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_DIGESTS))
+def test_config_graphs_are_frozen(name):
+    path = Path(__file__).parent.parent / "configs" / name
+    G = sv.generate(sv.parse_generator_config(path.read_text()))
+    assert hashlib.sha256(sv.serialize(G).encode()).hexdigest() == CONFIG_DIGESTS[name]
+
+
+def test_layout_check_rejects_a_wrong_sink_flag():
+    # without links, part 1 of a weakly connected graph is a sink of its own
+    cfg = sv.GeneratorConfig("weakly_connected", [5, 4, 5, 4, 6], edges_per_node=3,
+                             link_edges=0, retries=3)
+    with pytest.raises(GenerationFailed, match="wrong sink flag"):
+        sv.generate(cfg)
+
+
+def test_layout_check_redraws_a_wrong_kind():
+    # the first draw for this seed gives part 1 a balance partition
+    cfg = sv.GeneratorConfig("weakly_connected", [3, 3, 3, 3, 3], edges_per_node=2, seed=9)
+    kind = sv.classify_balance(np.arange(3), sv.generate(cfg)).kind
+    assert kind is BalanceKind.STRICTLY_UNBALANCED
+    cfg.retries = 1
+    with pytest.raises(GenerationFailed, match="is not strictly_unbalanced"):
+        sv.generate(cfg)

@@ -1,7 +1,8 @@
-"""Property tests of the component checks against brute-force oracles.
+"""Property tests of the component checks and operators against oracles.
 
-Random signed digraphs of at most 8 nodes; every SCC is checked.  Examples
-are derandomized, so every run tests the same graphs.
+Random signed digraphs of at most 8 nodes; every SCC is checked, and every
+transition-matrix product is compared with the dense matrix.  Examples are
+derandomized, so every run tests the same graphs.
 """
 
 import math
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import signedvoter as sv
 from signedvoter.structure import BalanceKind
+
+from helpers import dense_p
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -97,3 +100,58 @@ def test_negation_swaps_balanced_and_anti_balanced(G):
         assert neg.kind is swapped[bal.kind]
         if bal.in_s is not None:
             assert np.array_equal(neg.in_s, bal.in_s)
+
+
+@st.composite
+def graphs_with_vectors(draw):
+    """A random graph plus 2n finite entries to fill test vectors with."""
+    G = draw(signed_digraphs())
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    values = draw(st.lists(entries, min_size=2 * G.n, max_size=2 * G.n))
+    return G, np.array(values).reshape(G.n, 2)
+
+
+def _dense_blocks(G):
+    """(name, Block, dense block of P) for px, every py and every pz."""
+    d, P = sv.decompose(G), dense_p(G)
+    x = d.non_sink
+    yield "px", d.px(), P[np.ix_(x, x)]
+    for i, z in enumerate(d.sinks):
+        yield f"py{i}", d.py(i), P[np.ix_(x, z)]
+        yield f"pz{i}", d.pz(i), P[np.ix_(z, z)]
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_vectors())
+def test_operators_match_dense_p(case):
+    G, V = case
+    P = dense_p(G)
+    for v in (V[:, 0], V):  # one vector and a batch of two columns
+        assert np.allclose(sv.apply_p(G, v), P @ v, rtol=0, atol=1e-12)
+        assert np.allclose(sv.apply_p_transpose(G, v), P.T @ v, rtol=0, atol=1e-12)
+    for name, block, M in _dense_blocks(G):
+        for v in (V[:M.shape[1], 0], V[:M.shape[1]]):
+            assert np.allclose(block.apply(v), M @ v, rtol=0, atol=1e-12), name
+        for w in (V[:M.shape[0], 0], V[:M.shape[0]]):
+            assert np.allclose(block.apply_t(w), M.T @ w, rtol=0, atol=1e-12), name
+
+
+@PROPERTY_SETTINGS
+@given(signed_digraphs())
+def test_component_analysis_matches_primitives(G):
+    d = sv.decompose(G)
+    for i, comp in enumerate(d.components):
+        facts = d.analysis(i)
+        assert d.analysis(i) is facts
+        assert np.array_equal(facts.nodes, comp)
+        assert facts.aperiodic == sv.is_aperiodic(comp, G)
+        if not facts.aperiodic:
+            assert facts.balance is None
+            continue
+        bal = sv.classify_balance(comp, G)
+        assert facts.balance.kind is bal.kind
+        assert np.array_equal(facts.balance.nodes, bal.nodes)
+        if bal.in_s is None:
+            assert facts.balance.in_s is None
+        else:
+            assert np.array_equal(facts.balance.in_s, bal.in_s)
