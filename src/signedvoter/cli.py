@@ -5,8 +5,11 @@ Every run writes a manifest.json recording the command, parameters, seeds,
 tool version and wall-clock duration; deterministic subcommands reproduce
 their output files byte-for-byte when replayed.
 
-Exit codes: 0 success, 1 usage error, 2 data error (parsing or graph
-invariants), 3 numeric failure (no convergence, slow mixing, left [0, 1]).
+Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
+the command draws random numbers), 2 data error (parsing or graph
+invariants) or an internal error (any other exception, reported as one
+`internal error: <Type>: <message>` line), 3 numeric failure (no
+convergence, slow mixing, left [0, 1]).
 """
 
 import argparse
@@ -144,8 +147,10 @@ def _load_graph(args) -> tuple[SignedDigraph, str]:
 
 
 def _check_ranges(args) -> None:
-    """Reject out-of-range counts and horizons before any work starts."""
+    """Reject out-of-range counts, horizons and seeds before any work starts."""
     low = {"k": 0, "trials": 1 if args.command == "simulate" else 0}
+    if args.command != "maximize" or getattr(args, "baseline", None) == "random":
+        low["rng_seed"] = 0  # other maximize runs never draw random numbers
     if args.command != "maximize":  # maximize reads --t only for short-term objectives
         low["t"] = 0
     short_term = getattr(args, "objective", None) in ("instant", "average")
@@ -154,7 +159,7 @@ def _check_ranges(args) -> None:
     for name, bound in low.items():
         value = getattr(args, name, None)
         if value is not None and value < bound:
-            raise UsageError(f"--{name} must be >= {bound}, got {value}")
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {bound}, got {value}")
 
 
 def _parse_seeds(value: str, n: int) -> list:
@@ -405,6 +410,9 @@ def main(argv=None) -> int:
         return 3
     except (OSError, SignedVoterError) as exc:  # every other package error is about the input
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug: fail closed with one line, not a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}

@@ -21,6 +21,7 @@ from .structure import BalanceKind, Decomposition, decompose
 # Violations of [0, 1] beyond this are a bug in the graph invariants, not
 # roundoff, and raise instead of being clamped away.
 _CLAMP_SLACK = 1e-12
+_COUPLING_TOL = 1e-12  # change that stops the coupling series
 
 
 def _validated(x, n: int) -> np.ndarray:
@@ -85,8 +86,7 @@ def _series_cap(k: int) -> int:
     return 500 + 10 * k
 
 
-def solve_coupling(decomp: Decomposition, rhs: np.ndarray, op_sign: int,
-                   tol: float = 1e-12) -> np.ndarray:
+def solve_coupling(decomp: Decomposition, rhs: np.ndarray, op_sign: int) -> np.ndarray:
     """Solve (I_X - op_sign * P_X) u = rhs by the convergent series iteration.
 
     P_X^t -> 0 because every non-sink node leaks probability into some sink,
@@ -100,7 +100,7 @@ def solve_coupling(decomp: Decomposition, rhs: np.ndarray, op_sign: int,
         nxt = rhs + op_sign * px.apply(u)
         delta = np.abs(nxt - u).max()
         u = nxt
-        if delta <= tol:
+        if delta <= _COUPLING_TOL:
             return u
     if nx <= 2000:
         eye = np.eye(nx)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import DanglingNode, DuplicateEdge, MalformedLine, NonFiniteWeight, ZeroWeightEdge
 
+_OUT_WEIGHT_RTOL = 1e-12  # relative slack of validate()'s out_weight check
+
 
 @dataclass(eq=False, repr=False)
 class SignedDigraph:
@@ -78,7 +80,7 @@ class SignedDigraph:
     def __repr__(self):
         return f"SignedDigraph(n={self.n}, edges={self.n_edges}, negative={self.n_negative})"
 
-    def validate(self, rtol: float = 1e-12) -> None:
+    def validate(self) -> None:
         """Recheck all structural invariants; raises GraphDataError on failure."""
         if not np.all(np.isfinite(self.weights)):
             raise NonFiniteWeight("NaN or infinite edge weight present")
@@ -95,7 +97,7 @@ class SignedDigraph:
             raise DuplicateEdge(f"node {src[bad[0]]} has unsorted or duplicate targets")
         d = np.bincount(src, weights=self.weights, minlength=self.n)
         # written so that a NaN out_weight fails too
-        if not np.all(np.abs(d - self.out_weight) <= rtol * np.maximum(d, 1.0)):
+        if not np.all(np.abs(d - self.out_weight) <= _OUT_WEIGHT_RTOL * np.maximum(d, 1.0)):
             raise MalformedLine("out_weight inconsistent with edge weights")
 
 
@@ -125,35 +127,41 @@ def from_edge_list(edges, repair_dangling: bool = False) -> SignedDigraph:
         i = int(zero[0])
         raise ZeroWeightEdge(f"edge ({src[i]}, {dst[i]}) has zero weight")
     n = int(max(src.max(), dst.max())) + 1
+    return _build(n, src, dst, w, repair_dangling)[0]
 
+
+def _build(n: int, src, dst, w, repair_dangling: bool, dedupe: bool = False):
+    """The graph on nodes 0..n-1 with edges src -> dst of signed weight w,
+    and the number of repair self-loops added.
+
+    The inputs are trusted: ids in range, weights finite and nonzero.  Edges
+    are sorted by (src, dst).  Of a repeated pair, `dedupe` keeps the first
+    in input order and drops the rest; otherwise it raises DuplicateEdge.
+    """
+    missing = np.nonzero(np.bincount(src, minlength=n) == 0)[0]
     if repair_dangling:
-        deg = np.bincount(src, minlength=n)
-        missing = np.nonzero(deg == 0)[0]
-        if missing.size:
-            src = np.concatenate([src, missing])
-            dst = np.concatenate([dst, missing])
-            w = np.concatenate([w, np.ones(missing.size)])
-
-    order = np.lexsort((dst, src))
+        src = np.concatenate([src, missing])
+        dst = np.concatenate([dst, missing])
+        w = np.concatenate([w, np.ones(missing.size)])
+    order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
     src, dst, w = src[order], dst[order], w[order]
-    dup = np.nonzero((np.diff(src) == 0) & (np.diff(dst) == 0))[0]
-    if dup.size:
-        i = int(dup[0])
+    first = np.ones(src.size, dtype=bool)  # the first edge of each (src, dst) pair
+    first[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0)
+    if not (dedupe or first.all()):
+        i = int(np.argmin(first))
         raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
-
-    deg = np.bincount(src, minlength=n)
-    if np.any(deg == 0):
-        bad = np.nonzero(deg == 0)[0]
+    src, dst, w = src[first], dst[first], w[first]
+    if missing.size and not repair_dangling:
         raise DanglingNode(
-            f"{bad.size} node(s) without out-edges (first: {bad[:5].tolist()}); "
+            f"{missing.size} node(s) without out-edges (first: {missing[:5].tolist()}); "
             "pass repair_dangling=True to add unit self-loops"
         )
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
+    indptr = np.searchsorted(src, np.arange(n + 1))
     signs = np.where(w > 0, 1, -1).astype(np.int8)
     weights = np.abs(w)
     out_weight = np.bincount(src, weights=weights, minlength=n)
-    return SignedDigraph(n, indptr, dst, weights, signs, out_weight)
+    graph = SignedDigraph(n, indptr, dst, weights, signs, out_weight)
+    return graph, missing.size  # nonzero only when repairing
 
 
 @dataclass
@@ -177,54 +185,77 @@ class ParsedSnap:
 def parse_snap(text: str, repair_dangling: bool = False) -> ParsedSnap:
     """Parse a whitespace-separated `src dst sign` edge list.
 
-    Lines starting with `#` are comments.  The sign field may be any nonzero
-    integer and is taken as a signed unit weight.  Repeated (src, dst) lines
-    keep the first occurrence, matching how public sign datasets carry the
-    occasional duplicate vote.  Node ids are compacted to 0..n-1 preserving
-    first-appearance order; an id set that is already exactly {0..n-1} is
-    kept verbatim, so serialize round-trips exactly.
+    A line whose first non-blank character is `#` is a comment; blank lines
+    are skipped.  Every other line holds exactly three fields in Python
+    integer syntax that fit in int64, so an edge line with a trailing
+    `# ...` is malformed.  The first bad line in file order is reported.
+    The sign field may be any nonzero integer and is taken as a signed unit
+    weight.  Repeated (src, dst) lines keep the first occurrence, matching
+    how public sign datasets carry the occasional duplicate vote.  Node ids
+    are compacted to 0..n-1 preserving first-appearance order; an id set
+    that is already exactly {0..n-1} is kept verbatim, so serialize
+    round-trips exactly.
     """
-    remap: dict[int, int] = {}
-    src, dst, w = [], [], []
-    seen: set = set()
-    raw_edges = 0
-    negative = 0
+    table = _fields(text)
+    ends = table[:, :2].ravel()  # src and dst of each line, in file order
+    ids, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+    verbatim = ids[0] == 0 and ids[-1] == ids.size - 1
+    order = np.arange(ids.size) if verbatim else np.argsort(first)
+    src, dst = np.argsort(order)[inverse].reshape(-1, 2).T  # compact ids
+    sign = table[:, 2]
+    graph, repaired = _build(ids.size, src, dst, np.where(sign > 0, 1.0, -1.0),
+                             repair_dangling, dedupe=True)
+    # repair self-loops are positive, so every negative edge is a parsed one
+    return ParsedSnap(graph, ids[order], sign.size, int(np.count_nonzero(sign < 0)),
+                      graph.n_edges - repaired, graph.n_negative)
+
+
+def _fields(text: str) -> np.ndarray:
+    """The fields of every edge line, in file order, as an int64 (m, 3) array.
+
+    The edge lines are split in one go, with a `;` token between lines.
+    Each line has three fields exactly when there are 4m - 1 tokens and,
+    once every fourth token is deleted, no `;` is left among the rest: the
+    int conversion, which NumPy does as int() would, rejects a `;`.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    m, joined = len(lines), " ; ".join(lines)
+    del lines  # free them before the token list, the largest object here, is built
+    tokens = joined.split()
+    try:
+        if len(tokens) != 4 * m - 1:
+            raise ValueError("a line without three fields")
+        del tokens[3::4]
+        table = np.array(tokens, dtype=np.int64).reshape(-1, 3)
+        if not table[:, 2].all():
+            raise ValueError("zero sign")
+    except (ValueError, OverflowError):
+        table = np.array(_checked_fields(text), dtype=np.int64).reshape(-1, 3)
+    return table
+
+
+def _checked_fields(text: str) -> list:
+    """The fields of every edge line, read line by line.  Runs only when the
+    bulk conversion in `_fields` fails, and raises on the first bad line."""
+    fields = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 3:
             raise MalformedLine(f"line {lineno}: expected 'src dst sign', got {raw!r}")
         try:
-            u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
+            values = [int(p) for p in parts]
         except ValueError:
             raise MalformedLine(f"line {lineno}: non-integer field in {raw!r}") from None
-        if s == 0:
+        if values[2] == 0:
             raise ZeroWeightEdge(f"line {lineno}: zero sign")
-        raw_edges += 1
-        if s < 0:
-            negative += 1
-        for node in (u, v):
-            if node not in remap:
-                remap[node] = len(remap)
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        src.append(u)
-        dst.append(v)
-        w.append(1 if s > 0 else -1)
-    if not remap:
+        if not all(-2**63 <= x < 2**63 for x in values):
+            raise MalformedLine(f"line {lineno}: field outside the int64 range in {raw!r}")
+        fields += values
+    if not fields:
         raise MalformedLine("no edges in input")
-    if min(remap) == 0 and max(remap) == len(remap) - 1:
-        remap = {node: node for node in remap}
-    node_ids = np.empty(len(remap), dtype=np.int64)
-    for original, compact in remap.items():
-        node_ids[compact] = original
-    edges = ((remap[u], remap[v], s) for u, v, s in zip(src, dst, w))
-    graph = from_edge_list(edges, repair_dangling=repair_dangling)
-    return ParsedSnap(graph, node_ids, raw_edges, negative,
-                      len(src), sum(1 for s in w if s < 0))
+    return fields
 
 
 def serialize(G: SignedDigraph) -> str:
@@ -235,11 +266,8 @@ def serialize(G: SignedDigraph) -> str:
     """
     if not np.all(G.weights == 1.0):
         raise ValueError("edge-list format stores signs only; graph has non-unit weights")
-    lines = ["# signed edge list: src dst sign"]
-    src = G.sources
-    for e in range(G.n_edges):
-        lines.append(f"{src[e]} {G.targets[e]} {G.signs[e]}")
-    return "\n".join(lines) + "\n"
+    rows = zip(G.sources.tolist(), G.targets.tolist(), G.signs.tolist())
+    return "# signed edge list: src dst sign\n" + "".join(f"{s} {t} {g}\n" for s, t, g in rows)
 
 
 def ground_vector(G: SignedDigraph) -> np.ndarray:

@@ -202,9 +202,9 @@ def heuristic_seeds(G: SignedDigraph, k: int, kind: str, rng_seed: int | None = 
     return SeedSet(sorted(int(i) for i in order), float(score[order].sum()), f"heuristic:{kind}")
 
 
-def _limit_average_total(G: SignedDigraph, x0, tol: float = 1e-9) -> np.ndarray:
+def _limit_average_total(G: SignedDigraph, x0) -> np.ndarray:
     """Long-run average white total per column of x0, by exact propagation."""
-    even, odd, _ = propagate_limit(G, x0, tol=tol)
+    even, odd, _ = propagate_limit(G, x0)
     return 0.5 * (even + odd).sum(axis=0)
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .graph import SignedDigraph
 
 _BATCH = 8192  # fixed so batching (and therefore RNG usage) depends only on `trials`
+_POLARIZE_MAX_STEPS = 50_000  # mc_polarize gives up on trials still unabsorbed here
+_POLARIZE_CHECKPOINT_EVERY = 64  # steps between mc_polarize's absorbed-fraction records
 
 
 @dataclass
@@ -70,20 +72,17 @@ def _step_batch(G: SignedDigraph, tables: AliasTables, colors: np.ndarray,
     return picked ^ tables.negative[e]
 
 
-def mc_step(G: SignedDigraph, colors, rng: np.random.Generator,
-            tables: AliasTables | None = None) -> np.ndarray:
+def mc_step(G: SignedDigraph, colors, rng: np.random.Generator) -> np.ndarray:
     """One synchronous update of a boolean color state (True = white).
 
     All nodes update simultaneously from the pre-update state, matching the
     exact recurrence of the propagation module.
     """
     colors = np.asarray(colors, dtype=bool)
-    if tables is None:
-        tables = build_alias_tables(G)
     single = colors.ndim == 1
     if single:
         colors = colors[None, :]
-    out = _step_batch(G, tables, colors, rng)
+    out = _step_batch(G, build_alias_tables(G), colors, rng)
     return out[0] if single else out
 
 
@@ -197,8 +196,7 @@ class PolarizeStats:
         return (self.s_white + self.s_black) / self.trials
 
 
-def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int,
-                max_steps: int = 50_000, checkpoint_every: int = 64) -> PolarizeStats:
+def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) -> PolarizeStats:
     """Run trials on a balanced graph until every one reaches a polarized state.
 
     `partition` is the boolean S-side mask of the balanced graph.  In a
@@ -218,7 +216,7 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int,
     s_white = s_black = 0
     checkpoints = []
     steps = 0
-    for k in range(1, max_steps + 1):
+    for k in range(1, _POLARIZE_MAX_STEPS + 1):
         active = 0
         for b in batches:
             colors, rng = b
@@ -236,7 +234,7 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int,
             b[0] = colors
             active += colors.shape[0]
         steps = k
-        if k % checkpoint_every == 0 or active == 0:
+        if k % _POLARIZE_CHECKPOINT_EVERY == 0 or active == 0:
             checkpoints.append((k, (s_white + s_black) / trials))
         if active == 0:
             break

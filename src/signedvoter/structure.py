@@ -339,14 +339,18 @@ def _power_iteration_cap(k: int) -> int:
     return max(100, int(10 * k * math.log(k + 1)))
 
 
-def stationary(nodes, G: SignedDigraph, tol: float = 1e-12, residual_tol: float = 1e-10) -> np.ndarray:
+_STATIONARY_TOL = 1e-12  # per-entry change that stops the power iteration
+_STATIONARY_RESIDUAL_TOL = 1e-10  # accepted ||pi^T Pbar - pi^T||_inf
+
+
+def stationary(nodes, G: SignedDigraph) -> np.ndarray:
     """Stationary distribution of the unsigned chain on a closed component.
 
     Power iteration on the transpose of the unsigned transition matrix with
     a per-entry change threshold; falls back to a direct solve of
     (Pbar^T - I) pi = 0, sum(pi) = 1 for components of at most 2000 nodes
     when the iteration cap is hit.  The result is checked against
-    ||pi^T Pbar - pi^T||_inf <= residual_tol.
+    ||pi^T Pbar - pi^T||_inf <= _STATIONARY_RESIDUAL_TOL.
     """
     nodes, src, dst, eid, _ = _component(G, nodes, "stationary")
     k = nodes.size
@@ -360,10 +364,10 @@ def stationary(nodes, G: SignedDigraph, tol: float = 1e-12, residual_tol: float 
         nxt /= nxt.sum()
         delta = np.abs(nxt - pi).max()
         pi = nxt
-        if delta <= tol:
+        if delta <= _STATIONARY_TOL:
             break
     residual = np.abs(blk.apply_t(pi) - pi).max()
-    if residual > residual_tol:
+    if residual > _STATIONARY_RESIDUAL_TOL:
         # cap hit, or a small spectral gap stalled the per-entry change
         # before the iterate was accurate: direct solve for small components
         if k > 2000:
@@ -377,6 +381,7 @@ def stationary(nodes, G: SignedDigraph, tol: float = 1e-12, residual_tol: float 
         pi = np.maximum(pi, 0.0)
         pi /= pi.sum()
         residual = np.abs(blk.apply_t(pi) - pi).max()
-    if residual > residual_tol:
-        raise NoConvergence(f"stationary: residual {residual:.3e} above {residual_tol:.1e}")
+    if residual > _STATIONARY_RESIDUAL_TOL:
+        raise NoConvergence(
+            f"stationary: residual {residual:.3e} above {_STATIONARY_RESIDUAL_TOL:.1e}")
     return pi

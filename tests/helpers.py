@@ -7,7 +7,7 @@ never call the matrix-free kernels they are used to check.
 import numpy as np
 
 import signedvoter as sv
-from signedvoter.errors import GenerationFailed
+from signedvoter.errors import DanglingNode, GenerationFailed, MalformedLine, ZeroWeightEdge
 from signedvoter.structure import BalanceKind
 
 DENSE_GATE = 50
@@ -193,3 +193,76 @@ def balance_partition(G, nodes=None):
     if nodes is None:
         nodes = np.arange(G.n)
     return sv.classify_balance(nodes, G)
+
+
+def reference_parse_snap(text, repair_dangling=False):
+    """Line-by-line edge-list parser: the oracle for sv.parse_snap.
+
+    One dict remaps ids in first-appearance order, one set drops repeated
+    (src, dst) pairs, and the CSR arrays are formed from per-node Python
+    lists, without the package's graph builders.  Fields outside int64 are
+    not supported here (an id overflows in node_ids).
+    """
+    remap = {}
+    src, dst, w = [], [], []
+    seen = set()
+    raw_edges = 0
+    negative = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise MalformedLine(f"line {lineno}: expected 'src dst sign', got {raw!r}")
+        try:
+            u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise MalformedLine(f"line {lineno}: non-integer field in {raw!r}") from None
+        if s == 0:
+            raise ZeroWeightEdge(f"line {lineno}: zero sign")
+        raw_edges += 1
+        if s < 0:
+            negative += 1
+        for node in (u, v):
+            if node not in remap:
+                remap[node] = len(remap)
+        if (u, v) in seen:
+            continue
+        seen.add((u, v))
+        src.append(u)
+        dst.append(v)
+        w.append(1 if s > 0 else -1)
+    if not remap:
+        raise MalformedLine("no edges in input")
+    if min(remap) == 0 and max(remap) == len(remap) - 1:
+        remap = {node: node for node in remap}
+    node_ids = np.empty(len(remap), dtype=np.int64)
+    for original, compact in remap.items():
+        node_ids[compact] = original
+
+    n = len(remap)
+    rows = [[] for _ in range(n)]  # (target, sign) per source node
+    for u, v, s in zip(src, dst, w):
+        rows[remap[u]].append((remap[v], s))
+    missing = [u for u in range(n) if not rows[u]]
+    if missing and not repair_dangling:
+        raise DanglingNode(
+            f"{len(missing)} node(s) without out-edges (first: {missing[:5]}); "
+            "pass repair_dangling=True to add unit self-loops"
+        )
+    for u in missing:
+        rows[u].append((u, 1))
+    for row in rows:
+        row.sort()
+    edges = [e for row in rows for e in row]
+    graph = sv.SignedDigraph(
+        n,
+        np.array([0] + [len(row) for row in rows], dtype=np.int64).cumsum(),
+        np.array([v for v, _ in edges], dtype=np.int64),
+        np.ones(len(edges)),
+        np.array([s for _, s in edges], dtype=np.int8),
+        np.array([float(len(row)) for row in rows]),
+    )
+    return sv.ParsedSnap(graph, node_ids, raw_edges, negative,
+                         len(src), sum(1 for s in w if s < 0))

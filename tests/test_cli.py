@@ -389,3 +389,42 @@ def test_golden_components_jsonl(tmp_path):
         '"s_size": 0, "sbar_size": 0, "sink": true, "size": 2}\n'
     )
     assert (out / "components.jsonl").read_bytes() == golden.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t", "2", "--trials", "5", "--rng-seed", "-1"],
+    ["compare", "--k", "2", "--t", "2", "--trials", "0", "--rng-seed", "-1"],
+    ["maximize", "--baseline", "random", "--k", "2", "--rng-seed", "-1"],
+])
+def test_negative_rng_seed_is_usage_error(wc_graph, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--graph", wc_graph, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: --rng-seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["maximize", "--k", "2", "--rng-seed", "-1"],
+    ["maximize", "--baseline", "out_degree", "--k", "2", "--rng-seed", "-1"],
+])
+def test_negative_rng_seed_stays_valid_without_random_draws(wc_graph, tmp_path, argv):
+    assert main(argv + ["--graph", wc_graph, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_unexpected_exception_is_one_line_internal_error(wc_graph, tmp_path, capsys,
+                                                         monkeypatch):
+    def broken(G):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "decompose", broken)
+    assert main(["classify", "--graph", wc_graph, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: broken invariant\n"
+
+
+def test_oversized_id_is_a_data_error(tmp_path, capsys):
+    graph = tmp_path / "big.edges"
+    graph.write_text("0 1 1\n1 0 1\n99999999999999999999 1 1\n")
+    assert main(["classify", "--graph", str(graph), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "data error: line 3: field outside the int64 range in '99999999999999999999 1 1'\n")

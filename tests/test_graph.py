@@ -207,3 +207,24 @@ def test_validate_failure_branches(bad, error, message):
     _graph_with().validate()  # targets decrease across node boundaries, which is fine
     with pytest.raises(error, match=message):
         _graph_with(**bad).validate()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1 1\n99999999999999999999 1 1\n1 0 1\n", 2),  # an id beyond int64
+    ("0 1 99999999999999999999\n1 0 1\n", 1),  # a sign beyond int64
+    ("0 1 1\n-9223372036854775809 0 1\n", 2),
+])
+def test_parse_snap_rejects_fields_outside_int64(text, line):
+    with pytest.raises(MalformedLine, match=f"^line {line}: field outside the int64 range"):
+        sv.parse_snap(text)
+
+
+def test_parse_snap_reports_first_bad_line_in_file_order():
+    with pytest.raises(ZeroWeightEdge, match="^line 2: zero sign"):
+        sv.parse_snap("0 1 1\n1 0 0\n99999999999999999999 1 1\n1 0\n")
+    with pytest.raises(MalformedLine, match="^line 1: field outside"):
+        sv.parse_snap("99999999999999999999 1 1\n1 0\n")
+    # int64 extremes are ordinary ids
+    parsed = sv.parse_snap("9223372036854775807 -9223372036854775808 1\n"
+                           "-9223372036854775808 9223372036854775807 -1\n")
+    assert parsed.node_ids.tolist() == [2**63 - 1, -2**63]

@@ -1,21 +1,24 @@
-"""Property tests of the component checks and operators against oracles.
+"""Property tests of the component checks, operators and parser against oracles.
 
 Random signed digraphs of at most 8 nodes; every SCC is checked, and every
-transition-matrix product is compared with the dense matrix.  Examples are
-derandomized, so every run tests the same graphs.
+transition-matrix product is compared with the dense matrix.  Random edge-list
+texts, bad lines included, are parsed by parse_snap and by a line-by-line
+reference parser.  Examples are derandomized, so every run tests the same
+inputs.
 """
 
 import math
 from itertools import product
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signedvoter as sv
+from signedvoter.errors import SignedVoterError
 from signedvoter.structure import BalanceKind
 
-from helpers import dense_p
+from helpers import dense_p, reference_parse_snap
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -155,3 +158,70 @@ def test_component_analysis_matches_primitives(G):
             assert facts.balance.in_s is None
         else:
             assert np.array_equal(facts.balance.in_s, bal.in_s)
+
+
+_IDS = ["0", "1", "2", "3", "5", "12", "-1", "-7", "+2", "1_0", "007", "\uff13"]
+_SIGNS = ["1", "-1", "+1", "2", "-3", "1_0"]
+_BLANKS = [" ", "\t", "  ", " \t", "\xa0"]
+_FILLER = ["", "   ", "\t", "# comment", "  # indented 1 2 3", "#", "\t#0 1 1"]
+_BAD_LINES = [
+    "1 2", "1 2 1 1", "3", "0 1 x", "a b 1", "1.5 2 1", "0x1 2 1", "1__0 2 1", "0 1 0",
+    "2 3 -0", "0 1 1 # trailing comment", ";", "; 1 2 3", "1 2 ;", "0 ; 1",
+]
+
+
+@st.composite
+def edge_lines(draw):
+    u, v, s = (draw(st.sampled_from(pool)) for pool in (_IDS, _IDS, _SIGNS))
+    a, b, c, d = (draw(st.sampled_from(_BLANKS + [""])) for _ in range(4))
+    return f"{a}{u}{b or ' '}{v}{c or ' '}{s}{d}"
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lines, comments and blank lines, then up to three bad lines."""
+    lines = draw(st.lists(st.one_of(edge_lines(), st.sampled_from(_FILLER)), max_size=12))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _parse_outcome(parse, text, repair):
+    try:
+        return parse(text, repair_dangling=repair)
+    except SignedVoterError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(edge_list_texts(), st.booleans())
+@example("1 2\n1 2 1 1\n2 1 1\n", False)  # a 2- and a 4-field line: 9 fields in 3 lines
+@example("0 1 1\r\n1 2\r\n1 0 1 1\r\n", True)
+@example("1 2\n; 3 4 5\n", True)  # a ";" field where the separator would be
+@example("# header\n\n   \n", False)
+@example("".join(f"0 {v} 1\n" for v in range(1, 7)), False)  # six dangling nodes
+def test_parse_snap_matches_reference_parser(text, repair):
+    got = _parse_outcome(sv.parse_snap, text, repair)
+    want = _parse_outcome(reference_parse_snap, text, repair)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert sv.graphs_equal(got.graph, want.graph)
+    for name in ("indptr", "targets", "weights", "signs", "out_weight"):
+        assert getattr(got.graph, name).dtype == getattr(want.graph, name).dtype, name
+    assert got.node_ids.dtype == want.node_ids.dtype
+    assert np.array_equal(got.node_ids, want.node_ids)
+    assert ((got.file_edges, got.file_negative, got.parsed_edges, got.parsed_negative)
+            == (want.file_edges, want.file_negative, want.parsed_edges, want.parsed_negative))
+
+
+@PROPERTY_SETTINGS
+@given(signed_digraphs())
+def test_serialize_parse_round_trip(G):
+    parsed = sv.parse_snap(sv.serialize(G))
+    assert sv.graphs_equal(parsed.graph, G)
+    assert np.array_equal(parsed.node_ids, np.arange(G.n))
+    assert parsed.file_edges == parsed.parsed_edges == G.n_edges
+    assert parsed.file_negative == parsed.parsed_negative == G.n_negative

@@ -5,7 +5,7 @@ import pytest
 
 import signedvoter as sv
 from signedvoter.errors import NoConvergence, NotStronglyConnected, PeriodicComponent, WrongKind
-from signedvoter.structure import BalanceKind
+from signedvoter.structure import BalanceKind, _restrict
 
 from helpers import build_shape, dense_p, random_graph, small_family
 
@@ -264,3 +264,22 @@ def test_stationary_computed_only_where_needed(monkeypatch):
     monkeypatch.setattr(sv.structure, "stationary", lambda *a, **kw: 1 / 0)
     with pytest.raises(WrongKind):
         sv.oscillation_seeds(B, 2)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restrict_matches_edge_mask(seed):
+    # local src, local dst and edge ids in global edge order, for node sets
+    # from one node to all of them, against a per-edge membership test
+    rng = np.random.default_rng(seed)
+    n = 1500
+    G = random_graph(rng, n)
+    edges = list(zip(G.sources.tolist(), G.targets.tolist()))
+    for rows_size, cols_size in ((1, n), (3, 3), (5, 900), (60, 60), (700, 5), (n, n)):
+        rows = np.sort(rng.choice(n, rows_size, replace=False))
+        cols = np.sort(rng.choice(n, cols_size, replace=False))
+        row_of = {v: i for i, v in enumerate(rows.tolist())}
+        col_of = {v: i for i, v in enumerate(cols.tolist())}
+        want = [(row_of[s], col_of[t], e) for e, (s, t) in enumerate(edges)
+                if s in row_of and t in col_of]
+        src, dst, eid = _restrict(G, rows, cols)
+        assert list(zip(src.tolist(), dst.tolist(), eid.tolist())) == want
