@@ -5,7 +5,10 @@ proportional to edge weight and copies its current color through positive
 edges, the opposite color through negative edges.  Sampling uses one alias
 table per node; trials run vectorized in fixed-size batches, each batch on
 its own spawned RNG stream, so results are reproducible for a fixed seed
-and independent of how batches would be scheduled.
+and independent of how batches would be scheduled.  A step walks its batch
+in blocks of a fixed number of node-updates, reusing one set of block
+buffers, and writes into a second color array: mc_run holds two color
+arrays of one batch plus one block, mc_polarize two color arrays per batch.
 """
 
 from dataclasses import dataclass
@@ -15,6 +18,7 @@ import numpy as np
 from .graph import SignedDigraph
 
 _BATCH = 8192  # fixed so batching (and therefore RNG usage) depends only on `trials`
+_BLOCK = 1 << 18  # node-updates per block of the MC step: bounds its scratch memory
 _POLARIZE_MAX_STEPS = 50_000  # mc_polarize gives up on trials still unabsorbed here
 _POLARIZE_CHECKPOINT_EVERY = 64  # steps between mc_polarize's absorbed-fraction records
 
@@ -33,43 +37,91 @@ def build_alias_tables(G: SignedDigraph) -> AliasTables:
     accept = np.ones(G.n_edges)
     alias = np.arange(G.n_edges, dtype=np.int64)
     degree = np.diff(G.indptr).astype(np.int64)
-    for i in range(G.n):
+    src = G.sources
+    scaled = (G.weights / G.out_weight[src]) * degree[src]
+    # a node whose scaled weights are all < 1 or all >= 1 keeps the identity
+    # table; Vose's pairing runs only where they straddle 1
+    n_small = np.bincount(src[scaled < 1.0], minlength=G.n)
+    for i in np.flatnonzero((n_small > 0) & (n_small < degree)):
         lo, hi = G.indptr[i], G.indptr[i + 1]
         k = hi - lo
-        if k == 1:
-            continue
-        scaled = (G.weights[lo:hi] / G.out_weight[i]) * k
-        small = [j for j in range(k) if scaled[j] < 1.0]
-        large = [j for j in range(k) if scaled[j] >= 1.0]
-        scaled = scaled.copy()
+        node = scaled[lo:hi].copy()
+        small = [j for j in range(k) if node[j] < 1.0]
+        large = [j for j in range(k) if node[j] >= 1.0]
         while small and large:
             s = small.pop()
             g = large.pop()
-            accept[lo + s] = scaled[s]
+            accept[lo + s] = node[s]
             alias[lo + s] = lo + g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
+            node[g] = (node[g] + node[s]) - 1.0
+            (small if node[g] < 1.0 else large).append(g)
         for j in small + large:
             accept[lo + j] = 1.0
             alias[lo + j] = lo + j
     return AliasTables(accept, alias, degree, G.signs < 0)
 
 
-def _sample_edges(G: SignedDigraph, tables: AliasTables, rng: np.random.Generator,
-                  shape) -> np.ndarray:
-    """Draw one out-edge per (trial, node) using the single-uniform alias trick."""
-    y = rng.random(shape) * tables.degree
-    slot = y.astype(np.int64)
-    frac = y - slot
-    e0 = G.indptr[:-1] + slot
-    return np.where(frac < tables.accept[e0], e0, tables.alias[e0])
+class _Stepper:
+    """The synchronous MC step of one graph, run over a batch in row blocks.
 
+    A block holds about _BLOCK node-updates in whole rows, and all of its
+    scratch arrays are allocated once.  Its uniforms are drawn in place, in
+    the C order of a single rng.random((rows, n)) draw, so a batch consumes
+    the same stream whatever the block size, and a step allocates nothing
+    of size rows x n.  Each uniform u picks slot floor(u * degree) of its
+    node's out-edges; on weighted tables the slot's alias is taken when
+    the fraction left over reaches the slot's accept probability.
+    """
 
-def _step_batch(G: SignedDigraph, tables: AliasTables, colors: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    e = _sample_edges(G, tables, rng, colors.shape)
-    picked = np.take_along_axis(colors, G.targets[e], axis=1)
-    return picked ^ tables.negative[e]
+    def __init__(self, G: SignedDigraph, tables: AliasTables):
+        rows = max(1, _BLOCK // G.n)
+        self.rows = rows
+        self.degree = tables.degree.astype(np.float64)
+        self.starts = G.indptr[:-1]
+        # target << 1 | negative: one gather gives both the node and the sign
+        dtype = np.int32 if G.n < 2**30 else np.int64
+        self.signed = (G.targets.astype(dtype) << 1) | tables.negative
+        self.offsets = np.arange(rows)[:, None] * G.n  # row starts of a flat block
+        self.y = np.empty((rows, G.n))
+        self.e = np.empty((rows, G.n), dtype=np.intp)
+        self.s = np.empty((rows, G.n), dtype=dtype)
+        # None on unit-weight tables: with every accept at 1.0 the fraction
+        # left over always falls below it, and the slot is the edge
+        self.tables = None if np.all(tables.accept == 1.0) else tables
+        if self.tables is not None:
+            self.slot_accept = np.empty((rows, G.n))
+            self.slot_alias = np.empty((rows, G.n), dtype=np.intp)
+            self.use_alias = np.empty((rows, G.n), dtype=bool)
+
+    def __call__(self, colors: np.ndarray, rng: np.random.Generator,
+                 out: np.ndarray) -> np.ndarray:
+        """Write the step of C-contiguous boolean `colors` into `out`."""
+        # take(out=) copies through a temporary under mode="raise"; every
+        # index here is in range by construction, so "clip" never clips
+        for r0 in range(0, colors.shape[0], self.rows):
+            old = colors[r0:r0 + self.rows]
+            r = old.shape[0]
+            y, e, s = self.y[:r], self.e[:r], self.s[:r]
+            rng.random(out=y)
+            y *= self.degree
+            np.copyto(e, y, casting="unsafe")  # truncation, as astype
+            if self.tables is not None:
+                y -= e  # the fraction left over
+                e += self.starts
+                np.take(self.tables.accept, e, out=self.slot_accept[:r], mode="clip")
+                np.greater_equal(y, self.slot_accept[:r], out=self.use_alias[:r])
+                np.take(self.tables.alias, e, out=self.slot_alias[:r], mode="clip")
+                np.copyto(e, self.slot_alias[:r], where=self.use_alias[:r])
+            else:
+                e += self.starts
+            np.take(self.signed, e, out=s, mode="clip")
+            np.right_shift(s, 1, out=e)
+            e += self.offsets[:r]
+            new = out[r0:r0 + r]
+            np.take(old.ravel(), e, out=new, mode="clip")
+            s &= 1
+            np.not_equal(new, s, out=new)  # XOR with the sign bit
+        return out
 
 
 def mc_step(G: SignedDigraph, colors, rng: np.random.Generator) -> np.ndarray:
@@ -78,11 +130,11 @@ def mc_step(G: SignedDigraph, colors, rng: np.random.Generator) -> np.ndarray:
     All nodes update simultaneously from the pre-update state, matching the
     exact recurrence of the propagation module.
     """
-    colors = np.asarray(colors, dtype=bool)
+    colors = np.ascontiguousarray(colors, dtype=bool)
     single = colors.ndim == 1
     if single:
         colors = colors[None, :]
-    out = _step_batch(G, build_alias_tables(G), colors, rng)
+    out = _Stepper(G, build_alias_tables(G))(colors, rng, np.empty_like(colors))
     return out[0] if single else out
 
 
@@ -114,12 +166,13 @@ def _batch_sizes(trials: int):
     return sizes
 
 
-def _init_colors(G: SignedDigraph, seeds, rows: int) -> np.ndarray:
+def _initial_colors(G: SignedDigraph, seeds) -> np.ndarray:
+    """The start state of every trial: white on `seeds`, black elsewhere."""
     base = np.zeros(G.n, dtype=bool)
     seeds = np.asarray(list(seeds), dtype=np.int64)
     if seeds.size:
         base[seeds] = True
-    return np.broadcast_to(base, (rows, G.n)).copy()
+    return base
 
 
 def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
@@ -132,7 +185,7 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tables = build_alias_tables(G)
+    step = _Stepper(G, build_alias_tables(G))
     sizes = _batch_sizes(trials)
     streams = np.random.SeedSequence(rng_seed).spawn(len(sizes))
     sum_w = np.zeros(t + 1)
@@ -140,24 +193,27 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
     node_sum = np.zeros((t + 1, G.n)) if track_nodes else None
     in_s = None if partition is None else np.asarray(partition, dtype=bool)
     s_white = s_black = 0
+    initial = _initial_colors(G, seeds)
+    pair = np.empty((2, sizes[0], G.n), dtype=bool)  # the two color arrays of every batch
 
     for size, stream in zip(sizes, streams):
         rng = np.random.default_rng(stream)
-        colors = _init_colors(G, seeds, size)
+        colors, spare = pair[0, :size], pair[1, :size]
+        colors[:] = initial
         w = colors.sum(axis=1)
         sum_w[0] += w.sum()
         sum_w2[0] += np.square(w, dtype=np.float64).sum()
         if track_nodes:
             node_sum[0] += colors.sum(axis=0)
         for k in range(1, t + 1):
-            colors = _step_batch(G, tables, colors, rng)
+            colors, spare = step(colors, rng, spare), colors
             w = colors.sum(axis=1)
             sum_w[k] += w.sum()
             sum_w2[k] += np.square(w, dtype=np.float64).sum()
             if track_nodes:
                 node_sum[k] += colors.sum(axis=0)
         if in_s is not None:
-            mism = (colors ^ in_s).sum(axis=1)
+            mism = np.not_equal(colors, in_s, out=spare).sum(axis=1)
             s_white += int((mism == 0).sum())
             s_black += int((mism == G.n).sum())
 
@@ -206,12 +262,14 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     if trials < 1:
         raise ValueError("trials must be >= 1")
     in_s = np.asarray(partition, dtype=bool)
-    tables = build_alias_tables(G)
+    step = _Stepper(G, build_alias_tables(G))
     sizes = _batch_sizes(trials)
     streams = np.random.SeedSequence(rng_seed).spawn(len(sizes))
+    initial = _initial_colors(G, seeds)
     batches = []
     for size, stream in zip(sizes, streams):
-        batches.append([_init_colors(G, seeds, size), np.random.default_rng(stream)])
+        colors = np.broadcast_to(initial, (size, G.n)).copy()
+        batches.append([colors, np.empty_like(colors), np.random.default_rng(stream)])
 
     s_white = s_black = 0
     checkpoints = []
@@ -219,19 +277,21 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     for k in range(1, _POLARIZE_MAX_STEPS + 1):
         active = 0
         for b in batches:
-            colors, rng = b
+            colors, spare, rng = b
             if colors.shape[0] == 0:
                 continue
-            colors = _step_batch(G, tables, colors, rng)
-            mism = (colors ^ in_s).sum(axis=1)
+            colors, spare = step(colors, rng, spare), colors
+            mism = np.not_equal(colors, in_s, out=spare).sum(axis=1)
             hit_white = mism == 0
             hit_black = mism == G.n
             done = hit_white | hit_black
             if done.any():
                 s_white += int(hit_white.sum())
                 s_black += int(hit_black.sum())
-                colors = colors[~done]
-            b[0] = colors
+                live = np.flatnonzero(~done)
+                colors, spare = (np.take(colors, live, axis=0, out=spare[:live.size], mode="clip"),
+                                 colors[:live.size])
+            b[0], b[1] = colors, spare
             active += colors.shape[0]
         steps = k
         if k % _POLARIZE_CHECKPOINT_EVERY == 0 or active == 0:

@@ -8,6 +8,7 @@ import numpy as np
 
 import signedvoter as sv
 from signedvoter.errors import DanglingNode, GenerationFailed, MalformedLine, ZeroWeightEdge
+from signedvoter.simulate import AliasTables
 from signedvoter.structure import BalanceKind
 
 DENSE_GATE = 50
@@ -266,3 +267,42 @@ def reference_parse_snap(text, repair_dangling=False):
     )
     return sv.ParsedSnap(graph, node_ids, raw_edges, negative,
                          len(src), sum(1 for s in w if s < 0))
+
+
+def reference_build_alias_tables(G):
+    """Vose's alias method run node by node: the oracle for build_alias_tables."""
+    accept = np.ones(G.n_edges)
+    alias = np.arange(G.n_edges, dtype=np.int64)
+    degree = np.diff(G.indptr).astype(np.int64)
+    for i in range(G.n):
+        lo, hi = G.indptr[i], G.indptr[i + 1]
+        k = hi - lo
+        if k == 1:
+            continue
+        scaled = (G.weights[lo:hi] / G.out_weight[i]) * k
+        small = [j for j in range(k) if scaled[j] < 1.0]
+        large = [j for j in range(k) if scaled[j] >= 1.0]
+        scaled = scaled.copy()
+        while small and large:
+            s = small.pop()
+            g = large.pop()
+            accept[lo + s] = scaled[s]
+            alias[lo + s] = lo + g
+            scaled[g] = (scaled[g] + scaled[s]) - 1.0
+            (small if scaled[g] < 1.0 else large).append(g)
+        for j in small + large:
+            accept[lo + j] = 1.0
+            alias[lo + j] = lo + j
+    return AliasTables(accept, alias, degree, G.signs < 0)
+
+
+def reference_step_batch(G, tables, colors, rng):
+    """One synchronous MC step of a (rows, n) color batch from a single
+    (rows, n) uniform draw: the oracle for the blocked kernel of simulate."""
+    y = rng.random(colors.shape) * tables.degree
+    slot = y.astype(np.int64)
+    frac = y - slot
+    e0 = G.indptr[:-1] + slot
+    e = np.where(frac < tables.accept[e0], e0, tables.alias[e0])
+    picked = np.take_along_axis(colors, G.targets[e], axis=1)
+    return picked ^ tables.negative[e]

@@ -1,24 +1,29 @@
-"""Property tests of the component checks, operators and parser against oracles.
+"""Property tests of the component checks, operators, parser and MC step
+against oracles.
 
 Random signed digraphs of at most 8 nodes; every SCC is checked, and every
 transition-matrix product is compared with the dense matrix.  Random edge-list
 texts, bad lines included, are parsed by parse_snap and by a line-by-line
-reference parser.  Examples are derandomized, so every run tests the same
-inputs.
+reference parser.  Alias tables are compared with a node-by-node build, and
+the blocked MC step with a step drawn in one shot.  Examples are
+derandomized, so every run tests the same inputs.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signedvoter as sv
+from signedvoter import simulate
 from signedvoter.errors import SignedVoterError
 from signedvoter.structure import BalanceKind
 
-from helpers import dense_p, reference_parse_snap
+from helpers import (dense_p, reference_build_alias_tables, reference_parse_snap,
+                     reference_step_batch)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -225,3 +230,48 @@ def test_serialize_parse_round_trip(G):
     assert np.array_equal(parsed.node_ids, np.arange(G.n))
     assert parsed.file_edges == parsed.parsed_edges == G.n_edges
     assert parsed.file_negative == parsed.parsed_negative == G.n_negative
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """A random signed digraph of at most 12 nodes, with unit weights or with
+    weights from a few ties and arbitrary floats."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=4 * n, unique=True))
+    size = len(pairs)
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size))
+    magnitude = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]), st.floats(1e-3, 1e3))
+    weights = draw(st.one_of(st.just([1.0] * size),
+                             st.lists(magnitude, min_size=size, max_size=size)))
+    edges = [(s, t, g * w) for (s, t), g, w in zip(pairs, signs, weights)]
+    return sv.from_edge_list(edges, repair_dangling=True)
+
+
+@PROPERTY_SETTINGS
+@given(weighted_digraphs())
+def test_alias_tables_match_node_by_node_build(G):
+    got, want = simulate.build_alias_tables(G), reference_build_alias_tables(G)
+    for name in ("accept", "alias", "degree", "negative"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@PROPERTY_SETTINGS
+@given(weighted_digraphs(), st.sampled_from(["0", "1", "uneven"]),
+       st.sampled_from(["default", "1", "7", "n+3"]), st.integers(0, 2**32 - 1))
+def test_blocked_step_matches_one_shot_draw(G, rows, block, seed):
+    size = {"default": simulate._BLOCK, "1": 1, "7": 7, "n+3": G.n + 3}[block]
+    per_block = max(1, size // G.n)
+    n_rows = {"0": 0, "1": 1, "uneven": 2 * per_block + 1}[rows]
+    colors = np.random.default_rng(seed).random((n_rows, G.n)) < 0.5
+    tables = simulate.build_alias_tables(G)
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK", size)
+        step = simulate._Stepper(G, tables)
+        assert step.rows == per_block
+        got = step(colors, rng, np.empty_like(colors))
+    want = reference_step_batch(G, tables, colors, oracle_rng)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state

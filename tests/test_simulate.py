@@ -1,6 +1,11 @@
-"""Monte Carlo simulator: determinism, unbiasedness, polarization absorption."""
+"""Monte Carlo simulator: determinism, unbiasedness, polarization absorption,
+and the exact random stream, pinned by digests of every statistic."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
+import pytest
 
 import signedvoter as sv
 
@@ -24,6 +29,13 @@ def test_mc_step_deterministic_flips():
     cyc = sv.from_edge_list([(0, 1, 1), (1, 0, 1)])
     out = sv.mc_step(cyc, np.array([True, False]), rng)
     assert out.tolist() == [False, True]
+
+
+def test_mc_run_seeds_every_batch_from_a_one_shot_iterator():
+    G = random_graph(np.random.default_rng(11), 6)
+    a = sv.mc_run(G, iter([0, 4]), t=3, trials=8192 + 5, rng_seed=2)
+    b = sv.mc_run(G, [0, 4], t=3, trials=8192 + 5, rng_seed=2)
+    assert a.mean[0] == 2.0 and np.array_equal(a.mean, b.mean)
 
 
 def test_mc_run_all_seeds_all_positive():
@@ -110,3 +122,80 @@ def test_mc_run_polarization_counters():
     assert stats.s_white is not None and stats.s_black is not None
     assert stats.s_white + stats.s_black <= 300
     assert stats.s_white + stats.s_black >= 290  # nearly all absorbed by t=400
+
+
+def _balanced(sizes, seed):
+    return sv.generate(sv.GeneratorConfig("balanced", sizes=sizes, edges_per_node=3, seed=seed))
+
+
+def _golden_graph(case):
+    """Balanced, aperiodic graphs whose alias tables cover each kind of node.
+
+    unit: unit weights, n = 53 (does not divide any power-of-two block).
+    weighted: weights from {0.25, ..., 3}, so alias tables are not the identity.
+    degree49: node 0 has 49 unit-weight out-edges, where (1/49)*49 != 1.0.
+    """
+    if case == "unit":
+        return _balanced([23, 30], 11)
+    if case == "weighted":
+        base = _balanced([20, 24], 12)
+        rng = np.random.default_rng(13)
+        return sv.from_edge_list(
+            (int(s), int(t), int(g) * float(rng.choice([0.25, 0.5, 1.0, 1.5, 3.0])))
+            for s, t, g in zip(base.sources, base.targets, base.signs))
+    wide = _balanced([30, 30], 14)
+    in_s = sv.classify_balance(np.arange(wide.n), wide).in_s
+    edges = [(int(s), int(t), int(g)) for s, t, g in zip(wide.sources, wide.targets, wide.signs)]
+    have = {t for s, t, _ in edges if s == 0}
+    extra = [t for t in range(1, wide.n) if t not in have][:49 - len(have)]
+    edges += [(0, t, 1 if in_s[t] == in_s[0] else -1) for t in extra]
+    return sv.from_edge_list(edges)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# mc_run: (digest of mean, stderr and node_freq, s_white, s_black), then
+# mc_polarize: (s_white, s_black, unabsorbed, steps, digest of checkpoints)
+GOLDEN = {
+    "unit": (("067505a7a9bb7696f9d99fd205615c4a32e2bd97540d0c4d81768ba126832ef2", 236, 3),
+             (5288, 2941, 0, 510,
+              "2378f3d08cf10413a1f82fa2f4d9e8388fa34b16b9a043f67ae62b8128f488ec")),
+    "weighted": (("934a04f8902e80078fbcb4b8946aa55b8e4110cb37f87e7085adacfe793ab656", 229, 24),
+                 (4970, 3259, 0, 415,
+                  "12017374c8e43fd8a4703b0083646620c27fe7938aa226fd7390de024cd87918")),
+    "degree49": (("ba10ee46c3b69289d06f6ee5e31523cd7443870e6934ca0504fb358be97e0108", 21, 2),
+                 (4452, 3777, 0, 666,
+                  "961f569d0de90a47e5007deb203b67aa33b9b812809765f023a6a849c74ef86c")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_mc_random_stream_is_pinned(case):
+    G = _golden_graph(case)
+    in_s = sv.classify_balance(np.arange(G.n), G).in_s
+    trials = 8192 + 37  # one full batch and one partial
+    run = sv.mc_run(G, [0, 3, 7], t=12, trials=trials, rng_seed=21, track_nodes=True,
+                    partition=in_s)
+    pol = sv.mc_polarize(G, in_s, [0, 3, 7], trials=trials, rng_seed=22)
+    got_run = (_digest(run.mean, run.stderr, run.node_freq), run.s_white, run.s_black)
+    got_pol = (pol.s_white, pol.s_black, pol.unabsorbed, pol.steps,
+               _digest(np.array(pol.checkpoints)))
+    assert (got_run, got_pol) == GOLDEN[case]
+
+
+def test_mc_run_memory_is_two_color_batches_plus_one_block():
+    G = _balanced([1000, 1000], 15)
+    trials = 8192
+    colors_bytes = trials * G.n  # one boolean batch
+    tracemalloc.start()  # NumPy reports its array buffers to tracemalloc
+    try:
+        sv.mc_run(G, [0, 1], t=1, trials=trials, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * colors_bytes + 32 * 2**20
