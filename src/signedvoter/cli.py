@@ -133,16 +133,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_graph(args) -> tuple[SignedDigraph, str]:
+def _load_graph(args) -> SignedDigraph:
     if getattr(args, "graph", None) and getattr(args, "config", None):
         raise UsageError("--graph and --generate are mutually exclusive")
     if getattr(args, "graph", None):
         text = Path(args.graph).read_text(encoding="utf-8")
-        parsed = parse_snap(text, repair_dangling=args.repair_dangling)
-        return parsed.graph, f"graph:{args.graph}"
+        return parse_snap(text, repair_dangling=args.repair_dangling).graph
     if getattr(args, "config", None):
         cfg = parse_generator_config(Path(args.config).read_text(encoding="utf-8"))
-        return generate(cfg), f"generate:{args.config}"
+        return generate(cfg)
     raise UsageError("one of --graph or --generate is required")
 
 
@@ -205,7 +204,7 @@ def _cmd_generate(args, out: Path) -> None:
 
 
 def _cmd_classify(args, out: Path) -> None:
-    G, _ = _load_graph(args)
+    G = _load_graph(args)
     decomp = decompose(G)
     sink_set = set(decomp.sink_index)
     records = []
@@ -253,7 +252,7 @@ def _steady_record(G: SignedDigraph, x0) -> dict:
 
 
 def _cmd_dynamics(args, out: Path) -> None:
-    G, _ = _load_graph(args)
+    G = _load_graph(args)
     seeds = _parse_seeds(args.seeds, G.n)
     x0 = indicator(G.n, seeds)
     if args.per_node and args.t is None:
@@ -292,7 +291,7 @@ def _cmd_dynamics(args, out: Path) -> None:
 
 
 def _cmd_simulate(args, out: Path) -> None:
-    G, _ = _load_graph(args)
+    G = _load_graph(args)
     seeds = _parse_seeds(args.seeds, G.n)
     stats = mc_run(G, seeds, args.t, args.trials, args.rng_seed)
     rows = [[k, _fmt(stats.mean[k]), _fmt(stats.stderr[k])] for k in range(args.t + 1)]
@@ -308,7 +307,7 @@ def _cmd_simulate(args, out: Path) -> None:
 
 
 def _cmd_maximize(args, out: Path) -> None:
-    G, _ = _load_graph(args)
+    G = _load_graph(args)
     cv = None
     if args.baseline:
         chosen = heuristic_seeds(G, args.k, args.baseline, rng_seed=args.rng_seed)
@@ -335,7 +334,7 @@ def _cmd_maximize(args, out: Path) -> None:
 
 
 def _cmd_compare(args, out: Path) -> None:
-    G, _ = _load_graph(args)
+    G = _load_graph(args)
     if args.objective == "longterm":
         svim = svim_l(G, args.k)
     else:

@@ -7,8 +7,8 @@ table per node; trials run vectorized in fixed-size batches, each batch on
 its own spawned RNG stream, so results are reproducible for a fixed seed
 and independent of how batches would be scheduled.  A step walks its batch
 in blocks of a fixed number of node-updates, reusing one set of block
-buffers, and writes into a second color array: mc_run holds two color
-arrays of one batch plus one block, mc_polarize two color arrays per batch.
+buffers, and writes into a second color array: mc_run and mc_polarize
+hold two color arrays of one batch plus one block.
 """
 
 from dataclasses import dataclass
@@ -266,20 +266,18 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     sizes = _batch_sizes(trials)
     streams = np.random.SeedSequence(rng_seed).spawn(len(sizes))
     initial = _initial_colors(G, seeds)
-    batches = []
+    pair = np.empty((2, sizes[0], G.n), dtype=bool)  # the two color arrays of every batch
+    absorbed = np.zeros(_POLARIZE_MAX_STEPS + 1, dtype=np.int64)  # per step, over all batches
+    s_white = s_black = steps = 0
     for size, stream in zip(sizes, streams):
-        colors = np.broadcast_to(initial, (size, G.n)).copy()
-        batches.append([colors, np.empty_like(colors), np.random.default_rng(stream)])
-
-    s_white = s_black = 0
-    checkpoints = []
-    steps = 0
-    for k in range(1, _POLARIZE_MAX_STEPS + 1):
-        active = 0
-        for b in batches:
-            colors, spare, rng = b
-            if colors.shape[0] == 0:
-                continue
+        # a batch draws only from its own stream, so running each batch to
+        # absorption in turn draws what stepping all batches together would
+        rng = np.random.default_rng(stream)
+        colors, spare = pair[0, :size], pair[1, :size]
+        colors[:] = initial
+        k = 0
+        while colors.shape[0] and k < _POLARIZE_MAX_STEPS:
+            k += 1
             colors, spare = step(colors, rng, spare), colors
             mism = np.not_equal(colors, in_s, out=spare).sum(axis=1)
             hit_white = mism == 0
@@ -288,15 +286,14 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
             if done.any():
                 s_white += int(hit_white.sum())
                 s_black += int(hit_black.sum())
+                absorbed[k] += int(done.sum())
                 live = np.flatnonzero(~done)
                 colors, spare = (np.take(colors, live, axis=0, out=spare[:live.size], mode="clip"),
                                  colors[:live.size])
-            b[0], b[1] = colors, spare
-            active += colors.shape[0]
-        steps = k
-        if k % _POLARIZE_CHECKPOINT_EVERY == 0 or active == 0:
-            checkpoints.append((k, (s_white + s_black) / trials))
-        if active == 0:
-            break
+        steps = max(steps, k)
+    total = np.cumsum(absorbed[:steps + 1])
+    ks = np.arange(1, steps + 1)
+    ks = ks[(ks % _POLARIZE_CHECKPOINT_EVERY == 0) | (total[1:] == trials)]
+    checkpoints = [(int(k), int(total[k]) / trials) for k in ks]
     unabsorbed = trials - s_white - s_black
     return PolarizeStats(trials, steps, s_white, s_black, unabsorbed, rng_seed, checkpoints)

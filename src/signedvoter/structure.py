@@ -3,9 +3,11 @@
 `decompose` runs once per graph and is cached on it.  Its `analysis(i)` is
 the one place that asks whether component i is aperiodic and balanced,
 anti-balanced or strictly unbalanced; `classify`, `generate` and the
-long-term routines all read it.  The checks share one vectorized BFS, and
-they and every block of P read edges through `_restrict`, which touches only
-the CSR rows of the node set.
+long-term routines all read it.  The checks test a node set against the
+cached decomposition in O(k); aperiodicity takes one forward BFS, both
+balance tests one parity BFS, and the stationary law none.  They and every
+block of P read edges through `_restrict`, which touches only the CSR rows
+of the node set.
 """
 
 import math
@@ -259,61 +261,53 @@ def _restrict(G: SignedDigraph, rows: np.ndarray, cols: np.ndarray):
     return src[keep], dst[keep], eid[keep]
 
 
-def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Hop distance from local node 0 along edges src -> dst; -1 where unreached.
+def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray,
+                bit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distance from local node 0 along edges src -> dst (-1 where
+    unreached), and the xor of `bit` along each node's BFS-tree path.
 
     Level-synchronous: each step expands the whole frontier at once through
-    a local CSR of the edges.
+    a local CSR of the edges.  Any edge into a new node may become its tree
+    edge, so the xor is only meaningful where every path agrees.
     """
-    adj = dst[np.argsort(src, kind="stable")]
+    order = np.argsort(src, kind="stable")
+    adj, adj_bit = dst[order], bit[order]
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
     level = np.full(k, -1, dtype=np.int64)
     level[0] = 0
+    parity = np.zeros(k, dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
         start = indptr[frontier]
-        reached = adj[_ranges(start, indptr[frontier + 1] - start)]
-        frontier = np.unique(reached[level[reached] < 0])
+        count = indptr[frontier + 1] - start
+        pos = _ranges(start, count)
+        reached = adj[pos]
+        new = level[reached] < 0
+        parity[reached[new]] = (np.repeat(parity[frontier], count) ^ adj_bit[pos])[new]
+        frontier = np.unique(reached[new])
         level[frontier] = depth
-    return level
+    return level, parity
 
 
 def _component(G: SignedDigraph, nodes, what: str):
-    """Sorted nodes, internal edges (local src, dst, edge ids) and forward BFS
-    levels of a node set; raises unless BFS both ways from local node 0
-    reaches every node, i.e. unless the set is one SCC."""
+    """Sorted nodes and internal edges (local src, dst, edge ids) of a node
+    set; raises unless the set is one SCC of the cached decomposition, that
+    is, unless the sorted set equals the component of its first node."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
-    src, dst, eid = _restrict(G, nodes, nodes)
-    level = _bfs_levels(nodes.size, src, dst)
-    if level.min() < 0 or _bfs_levels(nodes.size, dst, src).min() < 0:
+    d = decompose(G)
+    if not np.array_equal(nodes, d.components[d.scc_id[nodes[0]]]):
         raise NotStronglyConnected(f"{what}: node set is not a single SCC")
-    return nodes, src, dst, eid, level
+    return (nodes, *_restrict(G, nodes, nodes))
 
 
 def is_aperiodic(nodes, G: SignedDigraph) -> bool:
     """True iff the SCC's cycle-length gcd is 1, via BFS level labeling."""
-    _, src, dst, _, level = _component(G, nodes, "is_aperiodic")
+    nodes, src, dst, eid = _component(G, nodes, "is_aperiodic")
+    level, _ = _bfs_levels(nodes.size, src, dst, G.signs[eid] < 0)
     return bool(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])) == 1)
-
-
-def _two_color(k: int, src, dst, want_same) -> np.ndarray | None:
-    """2-color the undirected sign skeleton; None when inconsistent.
-
-    want_same[e] is True when edge e constrains its endpoints to equal
-    colors.  The BFS runs on the signed double cover: node v has a copy
-    v + k, an edge wanting equal colors joins like copies and one wanting
-    opposite colors joins unlike copies, in both directions.  The skeleton
-    is connected, so a coloring exists iff node 0's copy is unreachable;
-    the color of v is whether v itself is reached, so node 0 is colored 1.
-    """
-    flip = np.where(want_same, 0, k)
-    a = np.concatenate([src, src + k])
-    b = np.concatenate([dst + flip, dst + k - flip])
-    reached = _bfs_levels(2 * k, np.concatenate([a, b]), np.concatenate([b, a])) >= 0
-    return None if reached[k] else reached[:k]
 
 
 def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
@@ -321,17 +315,23 @@ def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
 
     Balanced means a node partition exists with positive edges inside the
     parts and negative edges across; anti-balanced is the same after
-    negating every sign.  Both checks are single 2-colorings of the
-    undirected sign skeleton.
+    negating every sign.  Both tests read one BFS over the undirected sign
+    skeleton, giving each node its depth d and the parity p of negative
+    edges on its BFS-tree path.  The component is balanced iff
+    p[u] ^ p[v] == neg(e) on every edge e = (u, v); otherwise it is
+    anti-balanced iff q = p ^ (d & 1) satisfies q[u] ^ q[v] == 1 - neg(e).
+    A 2-coloring of a connected graph is unique up to a swap, so taking S
+    as the nodes colored like node 0 makes it canonical.
     """
-    nodes, src, dst, eid, _ = _component(G, nodes, "classify_balance")
-    k = nodes.size
-    positive = G.signs[eid] > 0
-    for kind, want_same in ((BalanceKind.BALANCED, positive),
-                            (BalanceKind.ANTI_BALANCED, ~positive)):
-        in_s = _two_color(k, src, dst, want_same)
-        if in_s is not None:  # canonical: node 0 is colored 1, so it lies in S
-            return BalanceClass(kind, nodes, in_s)
+    nodes, src, dst, eid = _component(G, nodes, "classify_balance")
+    neg = G.signs[eid] < 0
+    level, p = _bfs_levels(nodes.size, np.concatenate([src, dst]),
+                           np.concatenate([dst, src]), np.concatenate([neg, neg]))
+    if np.array_equal(p[src] ^ p[dst], neg):
+        return BalanceClass(BalanceKind.BALANCED, nodes, ~p)
+    q = p ^ (level & 1).astype(bool)
+    if np.array_equal(q[src] ^ q[dst], ~neg):
+        return BalanceClass(BalanceKind.ANTI_BALANCED, nodes, ~q)
     return BalanceClass(BalanceKind.STRICTLY_UNBALANCED, nodes, None)
 
 
@@ -352,7 +352,7 @@ def stationary(nodes, G: SignedDigraph) -> np.ndarray:
     when the iteration cap is hit.  The result is checked against
     ||pi^T Pbar - pi^T||_inf <= _STATIONARY_RESIDUAL_TOL.
     """
-    nodes, src, dst, eid, _ = _component(G, nodes, "stationary")
+    nodes, src, dst, eid = _component(G, nodes, "stationary")
     k = nodes.size
     if eid.size != np.diff(G.indptr)[nodes].sum():
         raise NotStronglyConnected("stationary: component has edges leaving the set")

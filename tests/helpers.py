@@ -7,9 +7,10 @@ never call the matrix-free kernels they are used to check.
 import numpy as np
 
 import signedvoter as sv
-from signedvoter.errors import DanglingNode, GenerationFailed, MalformedLine, ZeroWeightEdge
+from signedvoter.errors import (DanglingNode, GenerationFailed, MalformedLine,
+                                NotStronglyConnected, ZeroWeightEdge)
 from signedvoter.simulate import AliasTables
-from signedvoter.structure import BalanceKind
+from signedvoter.structure import BalanceClass, BalanceKind, _ranges, _restrict
 
 DENSE_GATE = 50
 
@@ -306,3 +307,56 @@ def reference_step_batch(G, tables, colors, rng):
     e = np.where(frac < tables.accept[e0], e0, tables.alias[e0])
     picked = np.take_along_axis(colors, G.targets[e], axis=1)
     return picked ^ tables.negative[e]
+
+
+def _reference_bfs_levels(k, src, dst):
+    """Hop distance from local node 0 along edges src -> dst; -1 where unreached."""
+    adj = dst[np.argsort(src, kind="stable")]
+    indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    level = np.full(k, -1, dtype=np.int64)
+    level[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = 0
+    while frontier.size:
+        depth += 1
+        start = indptr[frontier]
+        reached = adj[_ranges(start, indptr[frontier + 1] - start)]
+        frontier = np.unique(reached[level[reached] < 0])
+        level[frontier] = depth
+    return level
+
+
+def _reference_two_color(k, src, dst, want_same):
+    """2-color the undirected sign skeleton; None when inconsistent.
+
+    want_same[e] is True when edge e constrains its endpoints to equal
+    colors.  The BFS runs on the signed double cover: node v has a copy
+    v + k, an edge wanting equal colors joins like copies and one wanting
+    opposite colors joins unlike copies, in both directions.  The skeleton
+    is connected, so a coloring exists iff node 0's copy is unreachable;
+    the color of v is whether v itself is reached, so node 0 is colored 1.
+    """
+    flip = np.where(want_same, 0, k)
+    a = np.concatenate([src, src + k])
+    b = np.concatenate([dst + flip, dst + k - flip])
+    reached = _reference_bfs_levels(2 * k, np.concatenate([a, b]), np.concatenate([b, a])) >= 0
+    return None if reached[k] else reached[:k]
+
+
+def reference_classify_balance(nodes, G):
+    """SCC check by BFS both ways and balance by two 2-colorings of the
+    signed double cover: the oracle for sv.classify_balance."""
+    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+    src, dst, eid = _restrict(G, nodes, nodes)
+    k = nodes.size
+    if (_reference_bfs_levels(k, src, dst).min() < 0
+            or _reference_bfs_levels(k, dst, src).min() < 0):
+        raise NotStronglyConnected("classify_balance: node set is not a single SCC")
+    positive = G.signs[eid] > 0
+    for kind, want_same in ((BalanceKind.BALANCED, positive),
+                            (BalanceKind.ANTI_BALANCED, ~positive)):
+        in_s = _reference_two_color(k, src, dst, want_same)
+        if in_s is not None:
+            return BalanceClass(kind, nodes, in_s)
+    return BalanceClass(BalanceKind.STRICTLY_UNBALANCED, nodes, None)

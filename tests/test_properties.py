@@ -2,11 +2,13 @@
 against oracles.
 
 Random signed digraphs of at most 8 nodes; every SCC is checked, and every
-transition-matrix product is compared with the dense matrix.  Random edge-list
-texts, bad lines included, are parsed by parse_snap and by a line-by-line
-reference parser.  Alias tables are compared with a node-by-node build, and
-the blocked MC step with a step drawn in one shot.  Examples are
-derandomized, so every run tests the same inputs.
+transition-matrix product is compared with the dense matrix.  Balance
+classes of planted-partition graphs of up to 60 nodes are compared with a
+2-coloring of the signed double cover.  Random edge-list texts, bad lines
+included, are parsed by parse_snap and by a line-by-line reference parser.
+Alias tables are compared with a node-by-node build, and the blocked MC
+step with a step drawn in one shot.  Examples are derandomized, so every
+run tests the same inputs.
 """
 
 import math
@@ -22,8 +24,8 @@ from signedvoter import simulate
 from signedvoter.errors import SignedVoterError
 from signedvoter.structure import BalanceKind
 
-from helpers import (dense_p, reference_build_alias_tables, reference_parse_snap,
-                     reference_step_batch)
+from helpers import (dense_p, reference_build_alias_tables, reference_classify_balance,
+                     reference_parse_snap, reference_step_batch)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -108,6 +110,36 @@ def test_negation_swaps_balanced_and_anti_balanced(G):
         assert neg.kind is swapped[bal.kind]
         if bal.in_s is not None:
             assert np.array_equal(neg.in_s, bal.in_s)
+
+
+@st.composite
+def planted_partition_digraphs(draw):
+    """One SCC of up to 60 nodes, closed by a drawn Hamiltonian cycle, with
+    signs planted by a node partition: balanced or anti-balanced, optionally
+    with one sign flipped.  Self-loops of either sign occur."""
+    n = draw(st.integers(1, 60))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pairs += draw(st.lists(st.tuples(node, node), min_size=n // 2, max_size=3 * n, unique=True))
+    pairs = list(dict.fromkeys(pairs))
+    planted = draw(st.sampled_from([1, -1]))  # -1: anti-balanced
+    signs = [planted if side[s] == side[t] else -planted for s, t in pairs]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        signs[i] = -signs[i]
+    return sv.from_edge_list([(s, t, g) for (s, t), g in zip(pairs, signs)])
+
+
+@PROPERTY_SETTINGS
+@given(planted_partition_digraphs())
+def test_classify_balance_matches_double_cover_oracle(G):
+    nodes = np.arange(G.n)
+    got, want = sv.classify_balance(nodes, G), reference_classify_balance(nodes, G)
+    assert got.kind is want.kind and np.array_equal(got.nodes, want.nodes)
+    assert (None if got.in_s is None else got.in_s.tobytes()) == \
+        (None if want.in_s is None else want.in_s.tobytes())
 
 
 @st.composite

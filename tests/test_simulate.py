@@ -199,3 +199,20 @@ def test_mc_run_memory_is_two_color_batches_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 4 * colors_bytes + 32 * 2**20
+
+
+def test_mc_polarize_memory_does_not_grow_with_trials():
+    # one batch runs to absorption before the next starts, so a fourfold
+    # trial count reuses the same two color arrays
+    G = _balanced([50, 50], 3)
+    in_s = sv.classify_balance(np.arange(G.n), G).in_s
+    peaks = []
+    for trials in (8192, 32768):
+        tracemalloc.start()
+        try:
+            pol = sv.mc_polarize(G, in_s, np.flatnonzero(in_s)[1:], trials=trials, rng_seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert pol.unabsorbed == 0 and len(pol.checkpoints) > 1
+    assert peaks[1] <= peaks[0] + 2**18

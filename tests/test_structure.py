@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
+from signedvoter import structure
 from signedvoter.errors import NoConvergence, NotStronglyConnected, PeriodicComponent, WrongKind
 from signedvoter.structure import BalanceKind, _restrict
 
-from helpers import build_shape, dense_p, random_graph, small_family
+from helpers import build_shape, dense_p, random_graph, reference_classify_balance, small_family
 
 
 def test_decompose_strongly_connected():
@@ -102,6 +103,34 @@ def test_is_aperiodic():
     assert sv.is_aperiodic(np.arange(6), sv.slow_mixing(3))
     with pytest.raises(NotStronglyConnected):
         sv.is_aperiodic([0, 1], sv.from_edge_list([(0, 1, 1), (1, 1, 1)]))
+
+
+@pytest.mark.parametrize("nodes", [[0, 1], [0, 1, 2, 3, 4], [0, 1, 2, 2], [3, 3]])
+def test_node_set_that_is_not_one_scc_is_rejected(nodes):
+    # SCCs {0, 1, 2} and {3, 4}: a strict subset, a union, repeated ids
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, -1), (2, 0, 1), (2, 3, 1), (3, 4, -1), (4, 3, -1)])
+    for fn in (sv.is_aperiodic, sv.classify_balance, sv.stationary, reference_classify_balance):
+        name = fn.__name__.removeprefix("reference_")
+        with pytest.raises(NotStronglyConnected, match=f"^{name}: node set is not a single SCC$"):
+            fn(nodes, G)
+
+
+def test_component_checks_run_one_bfs_each(monkeypatch):
+    # an SCC of the cached decomposition needs no BFS to prove it is one
+    G = small_family(np.random.default_rng(7), "balanced")
+    original = structure._bfs_levels
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(structure, "_bfs_levels", counted)
+    for fn, want in ((sv.is_aperiodic, 1), (sv.classify_balance, 1), (sv.stationary, 0)):
+        calls = 0
+        fn(np.arange(G.n), G)
+        assert calls == want, fn.__name__
 
 
 def test_classify_balanced_even_negative_cycle():
