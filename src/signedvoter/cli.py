@@ -196,8 +196,7 @@ def _fmt(x: float) -> str:
 def _cmd_generate(args, out: Path) -> None:
     if not args.config:
         raise UsageError("generate needs --generate CONFIG")
-    cfg = parse_generator_config(Path(args.config).read_text(encoding="utf-8"))
-    G = generate(cfg)
+    G = _load_graph(args)
     (out / "graph.edges").write_text(serialize(G), encoding="utf-8")
     _write_json(out / "graph.json",
                 {"n": G.n, "edges": G.n_edges, "negative_edges": G.n_negative})

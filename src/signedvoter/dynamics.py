@@ -199,26 +199,21 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
             x_odd[z] = 0.5
             summaries.append(SinkSummary(z, bal.kind, None, pi, 0.0, None))
             continue
+        # an anti-balanced sink inverts its own nodes on odd steps and its
+        # coupling term on even steps
+        anti = bal.kind is BalanceKind.ANTI_BALANCED
+        oscillating |= anti
         signed = np.where(bal.in_s, 1.0, -1.0)
         align = float((signed * pi) @ (x0[z] - 0.5))
         xz = signed * align + 0.5
+        x_even[z] = xz
+        x_odd[z] = 1.0 - xz if anti else xz
         coupling = None
         if xs.size:
-            mode = "balanced" if bal.kind is BalanceKind.BALANCED else "anti_balanced"
-            coupling = solve_u(G, decomp, i, bal.in_s, mode)
-        if bal.kind is BalanceKind.BALANCED:
-            x_even[z] = xz
-            x_odd[z] = xz
-            if coupling is not None:
-                x_even[xs] += coupling * align
-                x_odd[xs] += coupling * align
-        else:
-            oscillating = True
-            x_even[z] = xz
-            x_odd[z] = 1.0 - xz
-            if coupling is not None:
-                x_even[xs] -= coupling * align
-                x_odd[xs] += coupling * align
+            coupling = solve_u(G, decomp, i, bal.in_s, bal.kind.value)
+            term = coupling * align
+            x_even[xs] += -term if anti else term
+            x_odd[xs] += term
         summaries.append(SinkSummary(z, bal.kind, bal.in_s, pi, align, coupling))
 
     # slack scales with the coupling-solver tolerance, not bare roundoff:

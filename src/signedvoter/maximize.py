@@ -51,14 +51,21 @@ class SeedSet:
         return len(self.nodes)
 
 
-def contribution_instant(G: SignedDigraph, t: int) -> ContributionVector:
-    """Contribution to the white count at exactly step t, via t transpose products."""
+def _transpose_powers(G: SignedDigraph, t: int):
+    """(P^T)^t 1 and the running sum of (P^T)^k 1 over k = 0..t."""
     if t < 1:
         raise ValueError("t must be >= 1")
     c = np.ones(G.n)
+    acc = np.ones(G.n)
     for _ in range(t):
         c = apply_p_transpose(G, c)
-    return ContributionVector(c, "instant", t)
+        acc += c
+    return c, acc
+
+
+def contribution_instant(G: SignedDigraph, t: int) -> ContributionVector:
+    """Contribution to the white count at exactly step t, via t transpose products."""
+    return ContributionVector(_transpose_powers(G, t)[0], "instant", t)
 
 
 def contribution_average(G: SignedDigraph, t: int) -> ContributionVector:
@@ -67,14 +74,7 @@ def contribution_average(G: SignedDigraph, t: int) -> ContributionVector:
     A seed contributes itself at step 0, so the running sum starts at the
     all-ones vector and is normalized by t+1.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    c = np.ones(G.n)
-    acc = np.ones(G.n)
-    for _ in range(t):
-        c = apply_p_transpose(G, c)
-        acc += c
-    return ContributionVector(acc / (t + 1), "average", t)
+    return ContributionVector(_transpose_powers(G, t)[1] / (t + 1), "average", t)
 
 
 def contribution_longterm(G: SignedDigraph) -> ContributionVector:
@@ -108,14 +108,18 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
     return ContributionVector(c, "longterm")
 
 
+def _top(ids: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
+    """The first k of `ids` by descending `score` (aligned), ties to the smaller id."""
+    return ids[np.lexsort((ids, -score))][:k]
+
+
 def select_top(cv: ContributionVector, k: int) -> SeedSet:
     """Top min(k, #positive) nodes by contribution, ties broken by node id."""
     if k < 0:
         raise ValueError("k must be >= 0")
     c = cv.c
     positive = np.nonzero(c > 0)[0]
-    order = positive[np.lexsort((positive, -c[positive]))]
-    chosen = order[: min(k, order.size)]
+    chosen = _top(positive, c[positive], k)
     value = float(c[chosen].sum())
     return SeedSet(sorted(int(i) for i in chosen), value, cv.kind)
 
@@ -158,8 +162,7 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
 
     def candidate(side_mask) -> list:
         side = np.nonzero(side_mask)[0]
-        order = side[np.lexsort((side, -pi[side]))]
-        return [int(z[j]) for j in order[: min(k, side.size)]]
+        return [int(z[j]) for j in _top(side, pi[side], k)]
 
     best_nodes, best_score = None, -1.0
     for nodes in (candidate(bal.in_s), candidate(~bal.in_s)):
@@ -197,34 +200,30 @@ def heuristic_seeds(G: SignedDigraph, k: int, kind: str, rng_seed: int | None = 
         "positive_out_degree": pos,
         "degree_difference": pos - neg,
     }[kind]
-    ids = np.arange(G.n)
-    order = ids[np.lexsort((ids, -score))][:k]
+    order = _top(np.arange(G.n), score, k)
     return SeedSet(sorted(int(i) for i in order), float(score[order].sum()), f"heuristic:{kind}")
 
 
-def _limit_average_total(G: SignedDigraph, x0) -> np.ndarray:
-    """Long-run average white total per column of x0, by exact propagation."""
-    even, odd, _ = propagate_limit(G, x0)
-    return 0.5 * (even + odd).sum(axis=0)
+def _objective_totals(G: SignedDigraph, x0: np.ndarray, objective: str, t: int | None):
+    """Objective total of each column of x0, by exact propagation."""
+    if objective == "instant":
+        return propagate(G, x0, t)[t].sum(axis=0)
+    if objective == "average":
+        return propagate(G, x0, t).sum(axis=1).mean(axis=0)
+    if objective == "longterm":
+        even, odd, _ = propagate_limit(G, x0)
+        return 0.5 * (even + odd).sum(axis=0)
+    raise ValueError(f"unknown objective {objective!r}")
 
 
 def evaluate_seed_set(G: SignedDigraph, nodes, objective: str, t: int | None = None) -> float:
-    """Objective value of a seed set by direct propagation (no additivity used)."""
-    x0 = indicator(G.n, nodes)
-    zero = np.zeros(G.n)
-    if objective == "instant":
-        traj_w = propagate(G, x0, t)[t].sum()
-        traj_0 = propagate(G, zero, t)[t].sum()
-        return float(traj_w - traj_0)
-    if objective == "average":
-        f_w = propagate(G, x0, t).sum(axis=1)
-        f_0 = propagate(G, zero, t).sum(axis=1)
-        return float((f_w - f_0).mean())
-    if objective == "longterm":
-        both = np.stack([x0, zero], axis=1)
-        totals = _limit_average_total(G, both)
-        return float(totals[0] - totals[1])
-    raise ValueError(f"unknown objective {objective!r}")
+    """Objective value of a seed set by direct propagation (no additivity used).
+
+    The seeded and the ground (no-seed) runs propagate as two columns.
+    """
+    x0 = np.stack([indicator(G.n, nodes), np.zeros(G.n)], axis=1)
+    totals = _objective_totals(G, x0, objective, t)
+    return float(totals[0] - totals[1])
 
 
 def brute_force_opt(G: SignedDigraph, objective: str, k: int, t: int | None = None) -> SeedSet:
@@ -248,14 +247,7 @@ def brute_force_opt(G: SignedDigraph, objective: str, k: int, t: int | None = No
     for j, w in enumerate(sets):
         x0[list(w), j] = 1.0
 
-    if objective == "instant":
-        totals = propagate(G, x0, t)[t].sum(axis=0)
-    elif objective == "average":
-        totals = propagate(G, x0, t).sum(axis=1).mean(axis=0)
-    elif objective == "longterm":
-        totals = _limit_average_total(G, x0)
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
+    totals = _objective_totals(G, x0, objective, t)
     values = totals - totals[0]  # column 0 is the empty set: the ground run
 
     best = 0

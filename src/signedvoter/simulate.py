@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDigraph
+from .graph import SignedDigraph, indicator
 
 _BATCH = 8192  # fixed so batching (and therefore RNG usage) depends only on `trials`
 _BLOCK = 1 << 18  # node-updates per block of the MC step: bounds its scratch memory
@@ -38,7 +38,7 @@ def build_alias_tables(G: SignedDigraph) -> AliasTables:
     alias = np.arange(G.n_edges, dtype=np.int64)
     degree = np.diff(G.indptr).astype(np.int64)
     src = G.sources
-    scaled = (G.weights / G.out_weight[src]) * degree[src]
+    scaled = np.abs(G.transition_coef) * degree[src]
     # a node whose scaled weights are all < 1 or all >= 1 keeps the identity
     # table; Vose's pairing runs only where they straddle 1
     n_small = np.bincount(src[scaled < 1.0], minlength=G.n)
@@ -159,20 +159,24 @@ class SimStats:
     s_black: int | None = None
 
 
-def _batch_sizes(trials: int):
+def _batches(G: SignedDigraph, seeds, trials: int, rng_seed: int):
+    """Yield each batch's generator and its two color arrays, the first set
+    to the start state: white on `seeds`, black elsewhere.
+
+    Batch b holds up to _BATCH trials and draws from the b-th spawn of
+    SeedSequence(rng_seed).  Every batch reuses the same pair of arrays.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    initial = indicator(G.n, seeds) > 0
     sizes = [_BATCH] * (trials // _BATCH)
     if trials % _BATCH:
         sizes.append(trials % _BATCH)
-    return sizes
-
-
-def _initial_colors(G: SignedDigraph, seeds) -> np.ndarray:
-    """The start state of every trial: white on `seeds`, black elsewhere."""
-    base = np.zeros(G.n, dtype=bool)
-    seeds = np.asarray(list(seeds), dtype=np.int64)
-    if seeds.size:
-        base[seeds] = True
-    return base
+    pair = np.empty((2, sizes[0], G.n), dtype=bool)
+    for size, stream in zip(sizes, np.random.SeedSequence(rng_seed).spawn(len(sizes))):
+        colors, spare = pair[0, :size], pair[1, :size]
+        colors[:] = initial
+        yield np.random.default_rng(stream), colors, spare
 
 
 def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
@@ -183,30 +187,18 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
     split into fixed-size batches and batch b consumes the b-th spawn of
     SeedSequence(rng_seed).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     step = _Stepper(G, build_alias_tables(G))
-    sizes = _batch_sizes(trials)
-    streams = np.random.SeedSequence(rng_seed).spawn(len(sizes))
     sum_w = np.zeros(t + 1)
     sum_w2 = np.zeros(t + 1)
     node_sum = np.zeros((t + 1, G.n)) if track_nodes else None
     in_s = None if partition is None else np.asarray(partition, dtype=bool)
     s_white = s_black = 0
-    initial = _initial_colors(G, seeds)
-    pair = np.empty((2, sizes[0], G.n), dtype=bool)  # the two color arrays of every batch
-
-    for size, stream in zip(sizes, streams):
-        rng = np.random.default_rng(stream)
-        colors, spare = pair[0, :size], pair[1, :size]
-        colors[:] = initial
-        w = colors.sum(axis=1)
-        sum_w[0] += w.sum()
-        sum_w2[0] += np.square(w, dtype=np.float64).sum()
-        if track_nodes:
-            node_sum[0] += colors.sum(axis=0)
-        for k in range(1, t + 1):
-            colors, spare = step(colors, rng, spare), colors
+    for rng, colors, spare in _batches(G, seeds, trials, rng_seed):
+        for k in range(t + 1):
+            if k:
+                colors, spare = step(colors, rng, spare), colors
             w = colors.sum(axis=1)
             sum_w[k] += w.sum()
             sum_w2[k] += np.square(w, dtype=np.float64).sum()
@@ -259,22 +251,13 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     polarized state every node deterministically keeps its color, so a trial
     that matches the partition (or its complement) exactly is finished.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     in_s = np.asarray(partition, dtype=bool)
     step = _Stepper(G, build_alias_tables(G))
-    sizes = _batch_sizes(trials)
-    streams = np.random.SeedSequence(rng_seed).spawn(len(sizes))
-    initial = _initial_colors(G, seeds)
-    pair = np.empty((2, sizes[0], G.n), dtype=bool)  # the two color arrays of every batch
     absorbed = np.zeros(_POLARIZE_MAX_STEPS + 1, dtype=np.int64)  # per step, over all batches
     s_white = s_black = steps = 0
-    for size, stream in zip(sizes, streams):
+    for rng, colors, spare in _batches(G, seeds, trials, rng_seed):
         # a batch draws only from its own stream, so running each batch to
         # absorption in turn draws what stepping all batches together would
-        rng = np.random.default_rng(stream)
-        colors, spare = pair[0, :size], pair[1, :size]
-        colors[:] = initial
         k = 0
         while colors.shape[0] and k < _POLARIZE_MAX_STEPS:
             k += 1

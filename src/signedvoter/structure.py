@@ -152,18 +152,16 @@ class Decomposition:
         return out
 
     def px(self) -> Block:
-        return self._block(("x",))
+        return self._block("x", self.non_sink, self.non_sink)
 
     def py(self, sink: int) -> Block:
-        return self._block(("y", sink))
+        return self._block(("y", sink), self.non_sink, self.sinks[sink])
 
     def pz(self, sink: int) -> Block:
-        return self._block(("z", sink))
+        return self._block(("z", sink), self.sinks[sink], self.sinks[sink])
 
-    def _block(self, key) -> Block:
+    def _block(self, key, rows: np.ndarray, cols: np.ndarray) -> Block:
         if key not in self._blocks:
-            rows = self.sinks[key[1]] if key[0] == "z" else self.non_sink
-            cols = self.non_sink if key[0] == "x" else self.sinks[key[1]]
             src, dst, eid = _restrict(self.graph, rows, cols)
             self._blocks[key] = Block(src, dst, self.graph.transition_coef[eid],
                                       rows.size, cols.size)
@@ -356,7 +354,7 @@ def stationary(nodes, G: SignedDigraph) -> np.ndarray:
     k = nodes.size
     if eid.size != np.diff(G.indptr)[nodes].sum():
         raise NotStronglyConnected("stationary: component has edges leaving the set")
-    blk = Block(src, dst, G.weights[eid] / G.out_weight[G.sources[eid]], k, k)
+    blk = Block(src, dst, np.abs(G.transition_coef[eid]), k, k)
 
     pi = np.full(k, 1.0 / k)
     for _ in range(_power_iteration_cap(k)):

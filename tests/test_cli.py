@@ -428,3 +428,124 @@ def test_oversized_id_is_a_data_error(tmp_path, capsys):
     assert main(["classify", "--graph", str(graph), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         "data error: line 3: field outside the int64 range in '99999999999999999999 1 1'\n")
+
+
+# MIXED_EDGES without its periodic sink: a strictly unbalanced non-sink
+# {0,1,2} feeding a balanced sink {3,4,5} and an anti-balanced sink {6,7,8}
+LONGTERM_EDGES = "".join(line + "\n" for line in MIXED_EDGES.splitlines()
+                         if line not in ("0 9 1", "9 10 1", "10 9 1"))
+
+
+def test_golden_longterm_outputs(tmp_path):
+    # frozen bytes: their last bits come from the coupling solves
+    graph = tmp_path / "longterm.edges"
+    graph.write_text(LONGTERM_EDGES)
+    runs = {
+        "dyn": ["dynamics", "--seeds", "0,3,7"],
+        "max": ["maximize", "--objective", "longterm", "--k", "2", "--contributions"],
+        "cmp": ["compare", "--k", "2", "--t", "3", "--trials", "0"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--graph", str(graph), "--out", str(tmp_path / name)]) == 0
+    golden = {
+        "dyn/steady_state.json": (
+            '{\n'
+            '  "kind": "oscillating",\n'
+            '  "n": 9,\n'
+            '  "non_sink_size": 3,\n'
+            '  "sinks": [\n'
+            '    {\n'
+            '      "alignment": 0.10000000000000012,\n'
+            '      "kind": "Balanced",\n'
+            '      "s_size": 2,\n'
+            '      "sbar_size": 1,\n'
+            '      "size": 3\n'
+            '    },\n'
+            '    {\n'
+            '      "alignment": 0.09999999999999995,\n'
+            '      "kind": "AntiBalanced",\n'
+            '      "s_size": 2,\n'
+            '      "sbar_size": 1,\n'
+            '      "size": 3\n'
+            '    }\n'
+            '  ],\n'
+            '  "white_average_total": 4.66000000000002,\n'
+            '  "white_even_total": 4.79636363636369,\n'
+            '  "white_odd_total": 4.52363636363635\n'
+            '}\n'
+        ),
+        "max/seeds.json": (
+            '{\n'
+            '  "count": 2,\n'
+            '  "k": 2,\n'
+            '  "objective": "longterm",\n'
+            '  "seeds": [\n'
+            '    3,\n'
+            '    4\n'
+            '  ],\n'
+            '  "t": null,\n'
+            '  "value": 1.2800000000001597\n'
+            '}\n'
+        ),
+        "max/contributions.csv": (
+            'node,contribution\r\n'
+            '0,0\r\n'
+            '1,0\r\n'
+            '2,0\r\n'
+            '3,0.64\r\n'
+            '4,0.64\r\n'
+            '5,-0.32\r\n'
+            '6,0\r\n'
+            '7,0\r\n'
+            '8,0\r\n'
+        ),
+        "cmp/summary.json": (
+            '{\n'
+            '  "k": 2,\n'
+            '  "methods": {\n'
+            '    "degree_difference": {\n'
+            '      "final_exact": 4.125,\n'
+            '      "seed_count": 2,\n'
+            '      "steady_state_influence": 4.01999999999994,\n'
+            '      "value": 4.0\n'
+            '    },\n'
+            '    "out_degree": {\n'
+            '      "final_exact": 4.125,\n'
+            '      "seed_count": 2,\n'
+            '      "steady_state_influence": 4.01999999999994,\n'
+            '      "value": 4.0\n'
+            '    },\n'
+            '    "positive_out_degree": {\n'
+            '      "final_exact": 4.125,\n'
+            '      "seed_count": 2,\n'
+            '      "steady_state_influence": 4.01999999999994,\n'
+            '      "value": 4.0\n'
+            '    },\n'
+            '    "random": {\n'
+            '      "final_exact": 3.0,\n'
+            '      "seed_count": 2,\n'
+            '      "steady_state_influence": 3.6999999999999003,\n'
+            '      "value": 0.0\n'
+            '    },\n'
+            '    "svim": {\n'
+            '      "final_exact": 5.625,\n'
+            '      "seed_count": 2,\n'
+            '      "steady_state_influence": 5.3000000000001,\n'
+            '      "value": 1.2800000000001597\n'
+            '    }\n'
+            '  },\n'
+            '  "objective": "longterm",\n'
+            '  "t": 3,\n'
+            '  "trials": 0\n'
+            '}\n'
+        ),
+    }
+    for path, text in golden.items():
+        assert (tmp_path / path).read_bytes() == text.encode(), path
+
+
+def test_generate_rejects_two_graph_sources(bal_cfg, wc_graph, tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["generate", "--graph", wc_graph, "--generate", bal_cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: --graph and --generate are mutually exclusive\n"
+    assert not (out / "graph.edges").exists()

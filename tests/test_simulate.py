@@ -216,3 +216,20 @@ def test_mc_polarize_memory_does_not_grow_with_trials():
             tracemalloc.stop()
         assert pol.unabsorbed == 0 and len(pol.checkpoints) > 1
     assert peaks[1] <= peaks[0] + 2**18
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda G: sv.mc_run(G, [-1], t=0, trials=3, rng_seed=0), "seed id out of range"),
+    (lambda G: sv.mc_run(G, [3], t=0, trials=3, rng_seed=0), "seed id out of range"),
+    (lambda G: sv.mc_polarize(G, np.ones(3, dtype=bool), [-1], trials=3, rng_seed=0),
+     "seed id out of range"),
+    (lambda G: sv.mc_polarize(G, np.ones(3, dtype=bool), [3], trials=3, rng_seed=0),
+     "seed id out of range"),
+    (lambda G: sv.mc_run(G, [0], t=-1, trials=3, rng_seed=0), "t must be >= 0"),
+], ids=["mc_run-seed-1", "mc_run-seed-n", "mc_polarize-seed-1", "mc_polarize-seed-n",
+        "mc_run-t-1"])
+def test_mc_rejects_out_of_range_seeds_and_horizon(run, message):
+    # seed -1 must not wrap around to node n-1, and seed n must not end in an IndexError
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    with pytest.raises(ValueError, match=message):
+        run(G)
