@@ -221,6 +221,8 @@ def evaluate_seed_set(G: SignedDigraph, nodes, objective: str, t: int | None = N
 
     The seeded and the ground (no-seed) runs propagate as two columns.
     """
+    if objective in ("instant", "average") and t is None:
+        raise ValueError("short-term objectives need t")
     x0 = np.stack([indicator(G.n, nodes), np.zeros(G.n)], axis=1)
     totals = _objective_totals(G, x0, objective, t)
     return float(totals[0] - totals[1])

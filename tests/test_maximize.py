@@ -274,3 +274,11 @@ def test_heuristic_seeds():
     r1 = sv.heuristic_seeds(G, 2, "random", rng_seed=5)
     r2 = sv.heuristic_seeds(G, 2, "random", rng_seed=5)
     assert r1.nodes == r2.nodes and len(r1.nodes) == 2
+
+
+@pytest.mark.parametrize("objective", ["instant", "average"])
+def test_evaluate_seed_set_short_term_needs_t(objective):
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    with pytest.raises(ValueError, match="short-term objectives need t"):
+        sv.evaluate_seed_set(G, [0], objective)
+    assert sv.evaluate_seed_set(G, [0], objective, t=0) == 1.0  # t = 0 is the seeded start

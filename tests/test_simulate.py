@@ -2,14 +2,17 @@
 and the exact random stream, pinned by digests of every statistic."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import signedvoter as sv
+from signedvoter import simulate
 
-from helpers import random_graph, small_family
+from helpers import random_graph, reference_step_batch, small_family
 
 
 def test_mc_step_absorbing_all_white():
@@ -233,3 +236,102 @@ def test_mc_rejects_out_of_range_seeds_and_horizon(run, message):
     G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     with pytest.raises(ValueError, match=message):
         run(G)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_mc_random_stream_is_pinned_at_every_thread_count(monkeypatch, case, threads):
+    # blocks of 2^12 node-updates: a full 8,192-row batch splits among all
+    # three workers, and a polarize batch keeps doing so until few trials
+    # are left; the 37-row batch stays on one thread
+    monkeypatch.setattr(simulate, "_BLOCK", 1 << 12)
+    monkeypatch.setattr(simulate, "_threads", lambda: threads)
+    test_mc_random_stream_is_pinned(case)
+
+
+def test_mc_run_memory_bound_holds_at_three_threads(monkeypatch):
+    # each worker owns one block of scratch; three of them fit the same bound
+    monkeypatch.setattr(simulate, "_threads", lambda: 3)
+    test_mc_run_memory_is_two_color_batches_plus_one_block()
+
+
+def _same_state(a, b):
+    """Equality of bit generator states, whose fields may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _threaded_step_check(monkeypatch, rng, oracle_rng):
+    """mc_step split among two workers against the one-shot oracle."""
+    G = _balanced([5, 5], 3)
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)  # two rows per block
+    monkeypatch.setattr(simulate, "_threads", lambda: 2)
+    colors = np.random.default_rng(4).random((9, G.n)) < 0.5
+    got = sv.mc_step(G, colors, rng)
+    want = reference_step_batch(G, simulate.build_alias_tables(G), colors, oracle_rng)
+    assert np.array_equal(got, want)
+    assert _same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
+
+
+def test_threaded_step_keeps_a_buffered_32_bit_value(monkeypatch):
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rng.random(dtype=np.float32)  # leaves half of a 64-bit output buffered
+    oracle_rng.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    _threaded_step_check(monkeypatch, rng, oracle_rng)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_step_on_other_bit_generators_matches_one_shot_draw(monkeypatch, bit_generator):
+    rng = np.random.Generator(bit_generator(6))
+    oracle_rng = np.random.Generator(bit_generator(6))
+    _threaded_step_check(monkeypatch, rng, oracle_rng)
+
+
+def test_threaded_step_under_fast_thread_switching(monkeypatch):
+    # more workers than the two cores of a small host, switching as often as
+    # the interpreter allows: each worker writes only its own rows
+    G = _golden_graph("weighted")
+    monkeypatch.setattr(simulate, "_BLOCK", 3 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 5)
+    colors = np.random.default_rng(7).random((400, G.n)) < 0.5
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [sv.mc_step(G, colors, rng) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    tables = simulate.build_alias_tables(G)
+    for step in got:
+        assert np.array_equal(step, reference_step_batch(G, tables, colors, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_mc_calls_leave_no_thread_running(monkeypatch, fail):
+    G = _balanced([5, 5], 3)
+    in_s = sv.classify_balance(np.arange(G.n), G).in_s
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 3)
+    caller, seen = threading.get_ident(), set()
+    run = simulate._Stepper._run
+
+    def worker_run(self, *args):
+        seen.add(threading.get_ident())
+        if fail and threading.get_ident() != caller:
+            raise RuntimeError("worker failed")
+        run(self, *args)
+
+    monkeypatch.setattr(simulate._Stepper, "_run", worker_run)
+    before = threading.active_count()
+    for call in (lambda: sv.mc_run(G, [0, 1], t=3, trials=50, rng_seed=1),
+                 lambda: sv.mc_polarize(G, in_s, [0, 1], trials=50, rng_seed=1)):
+        if fail:
+            with pytest.raises(RuntimeError, match="worker failed"):
+                call()
+        else:
+            call()
+        assert threading.active_count() == before
+    assert len(seen) > 1  # worker threads stepped rows, not only the calling thread
