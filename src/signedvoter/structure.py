@@ -169,69 +169,70 @@ class Decomposition:
 
 
 def decompose(G: SignedDigraph) -> Decomposition:
-    """Tarjan condensation with deterministic component numbering.
+    """Iterative Tarjan condensation on Python lists, numbered by smallest node.
 
-    The graph is immutable, so the result is cached on it: every later call
-    returns the same Decomposition.
+    A work stack of (node, next edge) pairs replaces recursion; a node's pair
+    goes back on it only when the scan of its out-edges descends.  The graph
+    is immutable, so the result is cached on it: every later call returns the
+    same Decomposition.
     """
     if G._decomposition is not None:
         return G._decomposition
     n = G.n
-    index = np.full(n, -1, dtype=np.int64)
-    low = np.zeros(n, dtype=np.int64)
-    on_stack = np.zeros(n, dtype=bool)
-    comp_of = np.full(n, -1, dtype=np.int64)
+    indptr, targets = G.indptr.tolist(), G.targets.tolist()
+    index, low, on_stack, comp_of = [-1] * n, [0] * n, [False] * n, [0] * n
     stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    counter = n_comps = 0
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, G.indptr[root])]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
+        work = [(root, indptr[root])]
         while work:
-            v, ptr = work[-1]
-            if ptr < G.indptr[v + 1]:
-                work[-1] = (v, ptr + 1)
-                w = int(G.targets[ptr])
+            v, ptr = work.pop()
+            end = indptr[v + 1]
+            while ptr < end:
+                w = targets[ptr]
+                ptr += 1
                 if index[w] == -1:
+                    work.append((v, ptr))
+                    work.append((w, indptr[w]))
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, G.indptr[w]))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:  # no break: every out-edge of v is scanned, v is finished
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                 if low[v] == index[v]:
-                    comp = []
                     while True:
                         w = stack.pop()
                         on_stack[w] = False
-                        comp_of[w] = len(components)
-                        comp.append(w)
+                        comp_of[w] = n_comps
                         if w == v:
                             break
-                    components.append(comp)
+                    n_comps += 1
 
-    order = sorted(range(len(components)), key=lambda c: min(components[c]))
-    renumber = np.empty(len(components), dtype=np.int64)
-    renumber[order] = np.arange(len(components))
+    comp_of = np.array(comp_of, dtype=np.int64)
+    _, first = np.unique(comp_of, return_index=True)  # smallest node of each label
+    renumber = np.empty(n_comps, dtype=np.int64)
+    renumber[np.argsort(first)] = np.arange(n_comps)
     scc_id = renumber[comp_of]
-    comps = [np.sort(np.array(components[c], dtype=np.int64)) for c in order]
+    comps = np.split(np.argsort(scc_id, kind="stable"), np.cumsum(np.bincount(scc_id))[:-1])
 
-    has_out = np.zeros(len(comps), dtype=bool)
+    has_out = np.zeros(n_comps, dtype=bool)
     cross = scc_id[G.sources] != scc_id[G.targets]
     has_out[scc_id[G.sources[cross]]] = True
-    sink_index = [i for i in range(len(comps)) if not has_out[i]]
+    sink_index = np.flatnonzero(~has_out).tolist()
     non_sink = np.nonzero(has_out[scc_id])[0]
     G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink)
     return G._decomposition
@@ -293,10 +294,12 @@ def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray,
 def _component(G: SignedDigraph, nodes, what: str):
     """Sorted nodes and internal edges (local src, dst, edge ids) of a node
     set; raises unless the set is one SCC of the cached decomposition, that
-    is, unless the sorted set equals the component of its first node."""
+    is, unless it is non-empty, its smallest id is a node, and the sorted set
+    equals that node's component."""
     nodes = np.sort(np.asarray(nodes, dtype=np.int64))
     d = decompose(G)
-    if not np.array_equal(nodes, d.components[d.scc_id[nodes[0]]]):
+    if (nodes.size == 0 or not 0 <= nodes[0] < G.n
+            or not np.array_equal(nodes, d.components[d.scc_id[nodes[0]]])):
         raise NotStronglyConnected(f"{what}: node set is not a single SCC")
     return (nodes, *_restrict(G, nodes, nodes))
 

@@ -10,7 +10,7 @@ import signedvoter as sv
 from signedvoter.errors import (DanglingNode, GenerationFailed, MalformedLine,
                                 NotStronglyConnected, ZeroWeightEdge)
 from signedvoter.simulate import AliasTables
-from signedvoter.structure import BalanceClass, BalanceKind, _ranges, _restrict
+from signedvoter.structure import BalanceClass, BalanceKind, Decomposition, _ranges, _restrict
 
 DENSE_GATE = 50
 
@@ -360,3 +360,66 @@ def reference_classify_balance(nodes, G):
         if in_s is not None:
             return BalanceClass(kind, nodes, in_s)
     return BalanceClass(BalanceKind.STRICTLY_UNBALANCED, nodes, None)
+
+
+def reference_decompose(G):
+    """Tarjan condensation over NumPy scalars, numbered by a sort on each
+    component's smallest node: the oracle for sv.decompose.  Not cached."""
+    n = G.n
+    index = np.full(n, -1, dtype=np.int64)
+    low = np.zeros(n, dtype=np.int64)
+    on_stack = np.zeros(n, dtype=bool)
+    comp_of = np.full(n, -1, dtype=np.int64)
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, G.indptr[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, ptr = work[-1]
+            if ptr < G.indptr[v + 1]:
+                work[-1] = (v, ptr + 1)
+                w = int(G.targets[ptr])
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, G.indptr[w]))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_of[w] = len(components)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
+
+    order = sorted(range(len(components)), key=lambda c: min(components[c]))
+    renumber = np.empty(len(components), dtype=np.int64)
+    renumber[order] = np.arange(len(components))
+    scc_id = renumber[comp_of]
+    comps = [np.sort(np.array(components[c], dtype=np.int64)) for c in order]
+
+    has_out = np.zeros(len(comps), dtype=bool)
+    cross = scc_id[G.sources] != scc_id[G.targets]
+    has_out[scc_id[G.sources[cross]]] = True
+    sink_index = [i for i in range(len(comps)) if not has_out[i]]
+    non_sink = np.nonzero(has_out[scc_id])[0]
+    return Decomposition(G, scc_id, comps, sink_index, non_sink)

@@ -7,8 +7,9 @@ classes of planted-partition graphs of up to 60 nodes are compared with a
 2-coloring of the signed double cover.  Random edge-list texts, bad lines
 included, are parsed by parse_snap and by a line-by-line reference parser.
 Alias tables are compared with a node-by-node build, and the blocked MC
-step with a step drawn in one shot.  Examples are derandomized, so every
-run tests the same inputs.
+step with a step drawn in one shot.  The condensation of graphs of up to 60
+nodes with planted SCC shapes is compared with a NumPy-scalar Tarjan.
+Examples are derandomized, so every run tests the same inputs.
 """
 
 import math
@@ -25,7 +26,7 @@ from signedvoter.errors import SignedVoterError
 from signedvoter.structure import BalanceKind
 
 from helpers import (dense_p, reference_build_alias_tables, reference_classify_balance,
-                     reference_parse_snap, reference_step_batch)
+                     reference_decompose, reference_parse_snap, reference_step_batch)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -140,6 +141,47 @@ def test_classify_balance_matches_double_cover_oracle(G):
     assert got.kind is want.kind and np.array_equal(got.nodes, want.nodes)
     assert (None if got.in_s is None else got.in_s.tobytes()) == \
         (None if want.in_s is None else want.in_s.tobytes())
+
+
+@st.composite
+def condensation_digraphs(draw):
+    """Up to 60 nodes: random edges, one Hamiltonian-cycle SCC plus chords, or
+    a chain of blocks (singletons, 2-cycles, or cycles of 1 to 4 nodes) with
+    extra edges only from earlier to later blocks; then random self-loops and
+    a random relabeling, so the smallest node of a component can be anywhere.
+    A one-node block is a singleton SCC, with a self-loop only if one is drawn."""
+    n = draw(st.integers(1, 60))
+    node = st.integers(0, n - 1)
+    shape = draw(st.sampled_from(["random", "one_scc", "singletons", "two_cycles", "small_sccs"]))
+    if shape == "random":
+        pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    elif shape == "one_scc":
+        pairs = [(v, (v + 1) % n) for v in range(n)] + draw(st.lists(st.tuples(node, node),
+                                                                     max_size=2 * n))
+    else:
+        size = {"singletons": st.just(1), "two_cycles": st.just(2)}.get(shape, st.integers(1, 4))
+        starts = np.cumsum([0] + draw(st.lists(size, min_size=n, max_size=n)))
+        bounds = [int(b) for b in starts if b < n] + [n]
+        block_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        pairs = [(v, v + 1 if v + 1 < b else a) for a, b in zip(bounds, bounds[1:]) if b - a > 1
+                 for v in range(a, b)]
+        pairs += [(b - 1, b) for b in bounds[1:-1]]
+        pairs += [(s, t) for s, t in draw(st.lists(st.tuples(node, node), max_size=2 * n))
+                  if block_of[s] < block_of[t]]
+    pairs += [(v, v) for v in draw(st.lists(node, max_size=n // 4))] + [(n - 1, n - 1)]
+    label = draw(st.permutations(range(n)))
+    edges = sorted({(label[s], label[t]) for s, t in pairs})
+    return sv.from_edge_list([(s, t, 1) for s, t in edges], repair_dangling=True)
+
+
+@PROPERTY_SETTINGS
+@given(condensation_digraphs())
+def test_decompose_matches_reference_tarjan(G):
+    got, want = sv.decompose(G), reference_decompose(G)
+    assert got.scc_id.dtype == want.scc_id.dtype and np.array_equal(got.scc_id, want.scc_id)
+    assert [c.tolist() for c in got.components] == [c.tolist() for c in want.components]
+    assert got.sink_index == want.sink_index
+    assert np.array_equal(got.non_sink, want.non_sink)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Condensation, aperiodicity, balance classification, stationary law."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,20 @@ def test_decompose_matches_reachability_oracle():
             assert (comp_id in d.sink_index) == bool(is_sink)
 
 
+def test_decompose_deep_path_needs_no_recursion():
+    # 0 -> 1 -> ... -> 49,999 -> 49,998: the DFS goes 50,000 nodes deep
+    n = 50_000
+    assert n > sys.getrecursionlimit()
+    G = sv.from_edge_list([(v, v + 1, 1) for v in range(n - 1)] + [(n - 1, n - 2, 1)])
+    d = sv.decompose(G)
+    assert d.n_components == n - 1
+    assert [c.tolist() for c in d.components[:-1]] == [[v] for v in range(n - 2)]
+    assert d.components[-1].tolist() == [n - 2, n - 1]
+    assert np.array_equal(d.scc_id, np.minimum(np.arange(n), n - 2))
+    assert d.sink_index == [n - 2]
+    assert np.array_equal(d.non_sink, np.arange(n - 2))
+
+
 def test_block_views_tile_the_transition_matrix():
     # px/py/pz dense views must reassemble the permuted dense operator exactly
     rng = np.random.default_rng(11)
@@ -112,6 +128,16 @@ def test_node_set_that_is_not_one_scc_is_rejected(nodes):
     for fn in (sv.is_aperiodic, sv.classify_balance, sv.stationary, reference_classify_balance):
         name = fn.__name__.removeprefix("reference_")
         with pytest.raises(NotStronglyConnected, match=f"^{name}: node set is not a single SCC$"):
+            fn(nodes, G)
+
+
+@pytest.mark.parametrize("nodes", [[], [3], [-1]])
+def test_empty_or_out_of_range_node_set_is_rejected(nodes):
+    # on a 3-node graph: no node, an id past the last node, a negative id
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, -1), (2, 0, 1)])
+    for fn in (sv.is_aperiodic, sv.classify_balance, sv.stationary):
+        with pytest.raises(NotStronglyConnected,
+                           match=f"^{fn.__name__}: node set is not a single SCC$"):
             fn(nodes, G)
 
 
