@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .dynamics import (
-    SinkSummary,
     SteadyState,
     oscillation_amplitude,
     propagate,

@@ -6,10 +6,10 @@ tool version and wall-clock duration; deterministic subcommands reproduce
 their output files byte-for-byte when replayed.
 
 Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
-the command draws random numbers), 2 data error (parsing or graph
-invariants) or an internal error (any other exception, reported as one
-`internal error: <Type>: <message>` line), 3 numeric failure (no
-convergence, slow mixing, left [0, 1]).
+the command draws random numbers), 2 data error (parsing, a file that is not
+UTF-8, graph invariants, or running out of memory) or an internal error (any
+other exception, reported as one `internal error: <Type>: <message>` line),
+3 numeric failure (no convergence, slow mixing, left [0, 1]).
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import propagate, step, steady_state
-from .errors import NumericFailure, SignedVoterError, SlowMixing
+from .errors import GraphDataError, NumericFailure, SignedVoterError, SlowMixing
 from .generate import generate, parse_generator_config
 from .graph import SignedDigraph, indicator, parse_snap, serialize
 from .maximize import (
@@ -133,15 +133,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 input file; a byte that does not decode is a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphDataError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+
+
 def _load_graph(args) -> SignedDigraph:
     if getattr(args, "graph", None) and getattr(args, "config", None):
         raise UsageError("--graph and --generate are mutually exclusive")
     if getattr(args, "graph", None):
-        text = Path(args.graph).read_text(encoding="utf-8")
-        return parse_snap(text, repair_dangling=args.repair_dangling).graph
+        return parse_snap(_read_text(args.graph), repair_dangling=args.repair_dangling).graph
     if getattr(args, "config", None):
-        cfg = parse_generator_config(Path(args.config).read_text(encoding="utf-8"))
-        return generate(cfg)
+        return generate(parse_generator_config(_read_text(args.config)))
     raise UsageError("one of --graph or --generate is required")
 
 
@@ -168,7 +174,7 @@ def _parse_seeds(value: str, n: int) -> list:
     tokens = value.replace(",", " ").split()
     path = Path(value)
     if not all(tok.isdigit() for tok in tokens) and path.exists():  # an id list is never a path
-        tokens = path.read_text(encoding="utf-8").split()
+        tokens = _read_text(path).split()
     try:
         seeds = sorted({int(tok) for tok in tokens})
     except ValueError:
@@ -202,6 +208,13 @@ def _cmd_generate(args, out: Path) -> None:
                 {"n": G.n, "edges": G.n_edges, "negative_edges": G.n_negative})
 
 
+def _balance_record(bal) -> dict:
+    """Kind label and partition sizes of a BalanceClass (None: periodic)."""
+    if bal is None:
+        return {"kind": "Periodic", "s_size": 0, "sbar_size": 0}
+    return {"kind": _KIND_LABEL[bal.kind], "s_size": bal.size_s, "sbar_size": bal.size_sbar}
+
+
 def _cmd_classify(args, out: Path) -> None:
     G = _load_graph(args)
     decomp = decompose(G)
@@ -209,19 +222,13 @@ def _cmd_classify(args, out: Path) -> None:
     records = []
     for cid, comp in enumerate(decomp.components):
         facts = decomp.analysis(cid)
-        record = {
+        records.append({
             "component_id": cid,
             "size": int(comp.size),
             "sink": cid in sink_set,
             "aperiodic": facts.aperiodic,
-            "kind": "Periodic",
-            "s_size": 0,
-            "sbar_size": 0,
-        }
-        bal = facts.balance
-        if bal is not None:
-            record.update(kind=_KIND_LABEL[bal.kind], s_size=bal.size_s, sbar_size=bal.size_sbar)
-        records.append(record)
+            **_balance_record(facts.balance),
+        })
     lines = [json.dumps(r, sort_keys=True) for r in records]
     (out / "components.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for line in lines:
@@ -238,14 +245,8 @@ def _steady_record(G: SignedDigraph, x0) -> dict:
         "white_average_total": float(ss.average.sum()),
         "non_sink_size": int(ss.non_sink.size),
         "sinks": [
-            {
-                "size": int(s.nodes.size),
-                "kind": _KIND_LABEL[s.kind],
-                "s_size": int(s.in_s.sum()) if s.in_s is not None else 0,
-                "sbar_size": int(s.nodes.size - s.in_s.sum()) if s.in_s is not None else 0,
-                "alignment": s.alignment,
-            }
-            for s in ss.sinks
+            {"size": int(sink.nodes.size), "alignment": align, **_balance_record(sink.balance)}
+            for sink, align in zip(ss.sinks, ss.alignment)
         ],
     }
 
@@ -408,6 +409,9 @@ def main(argv=None) -> int:
         return 3
     except (OSError, SignedVoterError) as exc:  # every other package error is about the input
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the input asks for more memory than there is
+        print("data error: out of memory", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug: fail closed with one line, not a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -126,28 +126,15 @@ def solve_u(G: SignedDigraph, decomp: Decomposition, sink: int, in_s: np.ndarray
 
 
 @dataclass
-class SinkSummary:
-    """Long-term data for one ergodic sink component.
-
-    `alignment` is the inner product of the signed stationary vector with
-    (x0 - 1/2) on the sink; `coupling` is the u-vector over non-sink nodes
-    (None for strictly unbalanced sinks or when there are none).
-    """
-
-    nodes: np.ndarray
-    kind: BalanceKind
-    in_s: np.ndarray | None
-    pi: np.ndarray
-    alignment: float
-    coupling: np.ndarray | None
-
-
-@dataclass
 class SteadyState:
     """Limit of the dynamics: kind is 'fixed', 'oscillating' or 'uniform_half'.
 
     For fixed kinds x_even == x_odd; oscillating graphs alternate between
     the two.  `average` is the long-run mean, which exists in every case.
+    `sinks` holds the shared ComponentAnalysis of every sink, in the
+    decomposition's order, and `alignment` the inner product of each sink's
+    signed stationary law with (x0 - 1/2) on its nodes (0.0 on a strictly
+    unbalanced sink, whose limit does not depend on x0).
     """
 
     kind: str
@@ -155,6 +142,7 @@ class SteadyState:
     x_odd: np.ndarray
     sinks: list
     non_sink: np.ndarray
+    alignment: list
 
     @property
     def x(self) -> np.ndarray:
@@ -176,45 +164,37 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
     anti-balanced sink alternates between the two polarized limits.  Every
     non-sink node sits at 1/2 plus the superposed coupling terms of all
     balanced and anti-balanced sinks.  The sink analysis comes from the
-    graph's cached decomposition.
+    graph's cached decomposition; a strictly unbalanced sink's stationary
+    law is never computed.
     """
     x0 = _validated(np.asarray(x0, dtype=np.float64), G.n)
     if x0.ndim != 1:
         raise ValueError("steady_state expects a single distribution")
     decomp = decompose(G)
-    x_even = np.empty(G.n)
-    x_odd = np.empty(G.n)
+    x_even = np.full(G.n, 0.5)
+    x_odd = np.full(G.n, 0.5)
     xs = decomp.non_sink
-    if xs.size:
-        x_even[xs] = 0.5
-        x_odd[xs] = 0.5
-
-    summaries = []
+    alignment = []
     oscillating = False
     for i, sink in enumerate(decomp.sink_analysis):
-        bal, pi = sink.balance, sink.pi
-        z = bal.nodes
+        bal = sink.balance
         if bal.kind is BalanceKind.STRICTLY_UNBALANCED:
-            x_even[z] = 0.5
-            x_odd[z] = 0.5
-            summaries.append(SinkSummary(z, bal.kind, None, pi, 0.0, None))
+            alignment.append(0.0)
             continue
         # an anti-balanced sink inverts its own nodes on odd steps and its
         # coupling term on even steps
         anti = bal.kind is BalanceKind.ANTI_BALANCED
         oscillating |= anti
-        signed = np.where(bal.in_s, 1.0, -1.0)
-        align = float((signed * pi) @ (x0[z] - 0.5))
-        xz = signed * align + 0.5
+        z = bal.nodes
+        align = float((bal.signs * sink.pi) @ (x0[z] - 0.5))
+        alignment.append(align)
+        xz = bal.signs * align + 0.5
         x_even[z] = xz
         x_odd[z] = 1.0 - xz if anti else xz
-        coupling = None
         if xs.size:
-            coupling = solve_u(G, decomp, i, bal.in_s, bal.kind.value)
-            term = coupling * align
+            term = solve_u(G, decomp, i, bal.in_s, bal.kind.value) * align
             x_even[xs] += -term if anti else term
             x_odd[xs] += term
-        summaries.append(SinkSummary(z, bal.kind, bal.in_s, pi, align, coupling))
 
     # slack scales with the coupling-solver tolerance, not bare roundoff:
     # several iterative solves superpose on the non-sink nodes
@@ -230,7 +210,7 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
         kind = "uniform_half"
     else:
         kind = "fixed"
-    return SteadyState(kind, x_even, x_odd, summaries, xs)
+    return SteadyState(kind, x_even, x_odd, list(decomp.sink_analysis), xs, alignment)
 
 
 def oscillation_amplitude(G: SignedDigraph, steady: SteadyState) -> float:

@@ -54,6 +54,10 @@ class GeneratorConfig:
             raise InvalidConfig(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise InvalidConfig("sizes must be a non-empty list of positive ints")
+        for name, low in (("seed", 0), ("retries", 1), ("cross_edges", 0), ("link_edges", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {value}")
         if self.family == "slow_mixing":
             if len(self.sizes) != 1 or self.sizes[0] < 3:
                 raise InvalidConfig("slow_mixing takes sizes=[m] with m >= 3")

@@ -95,16 +95,13 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
     nx = decomp.non_sink.size
     ub_mass = np.zeros(len(balanced))
     if nx:
-        rhs = np.stack(
-            [decomp.py(i).apply(np.where(sink.balance.in_s, 1.0, -1.0)) for i, sink in balanced],
-            axis=1,
-        )
+        rhs = np.stack([decomp.py(i).apply(sink.balance.signs) for i, sink in balanced], axis=1)
         ub = solve_coupling(decomp, rhs, +1)
         ub_mass = ub.sum(axis=0)
     for col, (_, sink) in enumerate(balanced):
-        bal, pi = sink.balance, sink.pi
+        bal = sink.balance
         scale = ub_mass[col] + bal.size_s - bal.size_sbar
-        c[bal.nodes] = scale * np.where(bal.in_s, pi, -pi)
+        c[bal.nodes] = scale * (bal.signs * sink.pi)
     return ContributionVector(c, "longterm")
 
 
@@ -158,7 +155,7 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
     if bal.kind is not BalanceKind.ANTI_BALANCED:
         raise WrongKind(f"sink is {bal.kind.value}, not anti_balanced")
     z, pi = bal.nodes, sink.pi
-    pihat = np.where(bal.in_s, pi, -pi)
+    pihat = bal.signs * pi
 
     def candidate(side_mask) -> list:
         side = np.nonzero(side_mask)[0]

@@ -244,19 +244,26 @@ def _batches(G: SignedDigraph, seeds, trials: int, rng_seed: int):
     to the start state: white on `seeds`, black elsewhere.
 
     Batch b holds up to _BATCH trials and draws from the b-th spawn of
-    SeedSequence(rng_seed).  Every batch reuses the same pair of arrays.
+    SeedSequence(rng_seed), spawned when the batch starts: successive
+    spawn(1) calls give the children of one spawn(k).  Every batch reuses
+    the same pair of arrays.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     initial = indicator(G.n, seeds) > 0
-    sizes = [_BATCH] * (trials // _BATCH)
-    if trials % _BATCH:
-        sizes.append(trials % _BATCH)
-    pair = np.empty((2, sizes[0], G.n), dtype=bool)
-    for size, stream in zip(sizes, np.random.SeedSequence(rng_seed).spawn(len(sizes))):
+    root = np.random.SeedSequence(rng_seed)
+    pair = np.empty((2, min(trials, _BATCH), G.n), dtype=bool)
+    for start in range(0, trials, _BATCH):
+        size = min(_BATCH, trials - start)
         colors, spare = pair[0, :size], pair[1, :size]
         colors[:] = initial
-        yield np.random.default_rng(stream), colors, spare
+        yield np.random.default_rng(root.spawn(1)[0]), colors, spare
+
+
+def _polarized(colors: np.ndarray, in_s: np.ndarray, scratch: np.ndarray):
+    """Masks of the rows that are exactly S white and of those exactly S black."""
+    mism = np.not_equal(colors, in_s, out=scratch).sum(axis=1)
+    return mism == 0, mism == colors.shape[1]
 
 
 def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
@@ -285,9 +292,9 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
                 if track_nodes:
                     node_sum[k] += colors.sum(axis=0)
             if in_s is not None:
-                mism = np.not_equal(colors, in_s, out=spare).sum(axis=1)
-                s_white += int((mism == 0).sum())
-                s_black += int((mism == G.n).sum())
+                hit_white, hit_black = _polarized(colors, in_s, spare)
+                s_white += int(hit_white.sum())
+                s_black += int(hit_black.sum())
 
     mean = sum_w / trials
     if trials > 1:
@@ -342,9 +349,7 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
             while colors.shape[0] and k < _POLARIZE_MAX_STEPS:
                 k += 1
                 colors, spare = step(colors, rng, spare), colors
-                mism = np.not_equal(colors, in_s, out=spare).sum(axis=1)
-                hit_white = mism == 0
-                hit_black = mism == G.n
+                hit_white, hit_black = _polarized(colors, in_s, spare)
                 done = hit_white | hit_black
                 if done.any():
                     s_white += int(hit_white.sum())

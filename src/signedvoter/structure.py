@@ -32,13 +32,22 @@ class BalanceClass:
     """Balance verdict for one ergodic component.
 
     `nodes` are the component's node ids in ascending order; `in_s` marks the
-    partition side S aligned with `nodes` (None for strictly unbalanced).
-    S is canonical: the smallest node id of the component lies in S.
+    partition side S aligned with `nodes`, and `signs` is +1 on S and -1 on
+    Sbar (both None for strictly unbalanced).  S is canonical: the smallest
+    node id of the component lies in S.
     """
 
     kind: BalanceKind
     nodes: np.ndarray
     in_s: np.ndarray | None
+
+    @cached_property
+    def signs(self) -> np.ndarray | None:
+        if self.in_s is None:
+            return None
+        signs = np.where(self.in_s, 1.0, -1.0)
+        signs.setflags(write=False)
+        return signs
 
     @property
     def size_s(self) -> int:

@@ -1,10 +1,15 @@
 """CLI subcommands: outputs, schemas, manifests, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import signedvoter as sv
 from signedvoter import cli, dynamics, maximize, structure
@@ -549,3 +554,149 @@ def test_generate_rejects_two_graph_sources(bal_cfg, wc_graph, tmp_path, capsys)
     assert main(["generate", "--graph", wc_graph, "--generate", bal_cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "usage error: --graph and --generate are mutually exclusive\n"
     assert not (out / "graph.edges").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = -1", "seed must be >= 0, got -1"),
+    ("cross_edges = -5", "cross_edges must be >= 0, got -5"),
+    ("link_edges = -1", "link_edges must be >= 0, got -1"),
+    ("retries = 0", "retries must be >= 1, got 0"),
+])
+def test_out_of_range_config_values_are_data_errors(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(WC_CFG + line + "\n")
+    assert main(["generate", "--generate", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["graph", "config", "seeds"])
+def test_file_that_is_not_utf8_is_a_data_error(wc_graph, tmp_path, capsys, which):
+    bad = tmp_path / "bad.txt"
+    good = {"graph": Path(wc_graph).read_bytes(), "config": WC_CFG.encode(), "seeds": b"0\n1\n"}
+    bad.write_bytes(good[which] + b"\xff\n")
+    argv = {
+        "graph": ["classify", "--graph", str(bad)],
+        "config": ["classify", "--generate", str(bad)],
+        "seeds": ["dynamics", "--graph", wc_graph, "--seeds", str(bad), "--t", "1"],
+    }[which]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: not UTF-8 at byte offset {len(good[which])}\n")
+
+
+def test_out_of_memory_is_a_one_line_data_error(wc_graph, tmp_path, capsys, monkeypatch):
+    def exhausted(G, x0, t):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "propagate", exhausted)
+    assert main(["dynamics", "--graph", wc_graph, "--t", "3",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "data error: out of memory\n"
+
+
+def test_compare_average_objective_end_to_end(wc_graph, tmp_path):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--graph", wc_graph, "--objective", "average", "--k", "3",
+                 "--t", "6", "--trials", "0", "--out", str(out)]) == 0
+    G = sv.parse_snap(Path(wc_graph).read_text()).graph
+    expect = sv.svim_s(G, 6, 3, mode="average")
+    svim = json.loads((out / "summary.json").read_text())["methods"]["svim"]
+    assert svim["seed_count"] == len(expect.nodes) and svim["value"] == expect.value
+    x0 = sv.indicator(G.n, expect.nodes)
+    rows = (out / "compare.csv").read_text().splitlines()
+    column = rows[0].split(",").index("svim_exact")
+    got = [row.split(",")[column] for row in rows[1:]]
+    assert got == [cli._fmt(v) for v in sv.propagate(G, x0, 6).sum(axis=1)]
+    assert svim["steady_state_influence"] == float(sv.steady_state(G, x0).average.sum())
+
+
+# the fuzz property's inputs: valid edge lines on nodes 0..2 and complete
+# small configs, spoiled now and then by a bad line or a byte that is not
+# UTF-8; a bad value is drawn for about one option in four
+_FUZZ_EDGES = [f"{s} {t} {g}".encode() for s in range(3) for t in range(3) for g in (1, -1)]
+_FUZZ_BAD_EDGE_LINES = [b"# c", b"", b"0 1", b"0 1 x", b"0 1 0", b"1_0 2 1", b"\xff\xfe",
+                        b"99999999999999999999 1 1", b"3 0 1\r", b"7 7 1"]
+_FUZZ_CONFIGS = [b"family = balanced\nsizes = 3, 4\nedges_per_node = 2\nseed = 5",
+                 b"family = weakly_connected\nsizes = 3, 3, 3, 3, 3\nedges_per_node = 2",
+                 b"family = anti_balanced\nsizes = 3, 3\nedges_per_node = 2",
+                 b"family = slow_mixing\nsizes = 3"]
+_FUZZ_BAD_CONFIG_LINES = [b"sizes = 3", b"sizes = x", b"seed = -1", b"retries = 0",
+                          b"cross_edges = -5", b"link_edges = -1", b"bogus = 1", b"\xc3",
+                          b"family = nope", b"edges_per_node = 9"]
+# (valid values, bad values); huge values only where they fail before any
+# work starts: negative counts
+_FUZZ_OPTIONS = {
+    "--t": (["0", "1", "3"], ["-1", "-1000000000000"]),
+    "--k": (["0", "1", "2", "5"], ["-1", "-1000000000000"]),
+    "--trials": (["1", "7"], ["0", "-1", "-1000000000000"]),
+    "--rng-seed": (["0", "3"], ["-1", "-1000000000000"]),
+    "--seeds": (["", "0", "0,1", "2 1"], ["9", "-1", "x", "99999999999999999999"]),
+    "--objective": (["instant", "average", "longterm"], ["oscillation", "bogus"]),
+    "--baseline": (["out_degree", "degree_difference", "random"], ["bogus"]),
+}
+
+
+@st.composite
+def cli_invocations(draw):
+    """A subcommand with drawn options, and the bytes of its input file."""
+    rarely = st.sampled_from([False, False, False, True])  # the first value is drawn most
+
+    def spoiled(lines, bad):
+        if draw(rarely):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(bad)))
+        return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+    command = draw(st.sampled_from(
+        ["generate", "classify", "dynamics", "simulate", "maximize", "compare"]))
+    use_config = command == "generate" or draw(rarely)
+    if use_config:
+        data = spoiled([draw(st.sampled_from(_FUZZ_CONFIGS))], _FUZZ_BAD_CONFIG_LINES)
+    else:
+        data = spoiled(draw(st.lists(st.sampled_from(_FUZZ_EDGES), min_size=1, max_size=8,
+                                     unique=True)), _FUZZ_BAD_EDGE_LINES)
+    argv = [command, "--generate" if use_config else "--graph", "{input}"]
+    if draw(st.booleans()):
+        argv.append("--repair-dangling")
+
+    def option(name, optional=True):
+        if optional and draw(st.booleans()):
+            return
+        good, bad = _FUZZ_OPTIONS[name]
+        argv.extend([name, draw(st.sampled_from(bad if draw(rarely) else good))])
+
+    if command in ("dynamics", "simulate"):
+        option("--seeds")
+        option("--t", optional=command == "dynamics")
+    if command == "dynamics" and draw(st.booleans()):
+        argv.append("--per-node")
+    if command in ("simulate", "compare"):
+        option("--trials", optional=False)
+    if command in ("maximize", "compare"):
+        option("--objective")
+        option("--t")
+        option("--k", optional=False)
+    if command == "maximize":
+        option("--baseline")
+        if draw(st.booleans()):
+            argv.append("--contributions")
+    if command in ("simulate", "maximize", "compare"):
+        option("--rng-seed")
+    return argv, data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cli_invocations())
+def test_cli_fuzz_ends_in_a_documented_exit_code(invocation):
+    argv, data = invocation
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_ADAPTIVE_CAP", 200)  # a periodic graph would run to 10**6 steps
+        source = Path(tmp) / "input"
+        source.write_bytes(data)
+        argv = [str(source) if a == "{input}" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert err.count("\n") <= 1 and "internal error:" not in err, err
+    assert (code == 0) == (err == ""), err

@@ -161,6 +161,60 @@ def test_steady_state_weakly_connected_zero_seed_closed_form():
     assert np.abs(ss.x_even[d.non_sink] - (0.5 + ub * a)).max() <= 1e-12
 
 
+def test_steady_state_computes_pi_only_where_a_closed_form_reads_it(monkeypatch):
+    # a strictly unbalanced sink settles at 1/2 whatever x0, so its
+    # stationary law is never needed
+    rng = np.random.default_rng(5)
+    G = build_shape(rng, 4, [("balanced", (3, 3)), ("strictly_unbalanced", (4,)),
+                             ("anti_balanced", (3, 2))])
+    x0 = rng.random(G.n)
+    original = sv.structure.stationary
+    kinds = []
+
+    def recorded(nodes, graph, *args, **kwargs):
+        kinds.append(sv.classify_balance(nodes, graph).kind)
+        return original(nodes, graph, *args, **kwargs)
+
+    monkeypatch.setattr(sv.structure, "stationary", recorded)
+    ss = sv.steady_state(G, x0)
+    assert sorted(kind.value for kind in kinds) == ["anti_balanced", "balanced"]
+
+    d = sv.decompose(G)
+    assert ss.sinks is not d.sink_analysis and len(ss.sinks) == len(d.sink_analysis) == 3
+    assert all(a is b for a, b in zip(ss.sinks, d.sink_analysis))
+    for sink, align in zip(ss.sinks, ss.alignment):
+        bal = sink.balance
+        if bal.kind is BalanceKind.STRICTLY_UNBALANCED:
+            assert align == 0.0 and bal.signs is None
+        else:
+            assert align == float(np.where(bal.in_s, sink.pi, -sink.pi) @ (x0[bal.nodes] - 0.5))
+    xe, xo, _ = sv.propagate_limit(G, x0, tol=1e-12)
+    assert np.abs(ss.x_even - xe).max() <= 1e-9 and np.abs(ss.x_odd - xo).max() <= 1e-9
+
+
+def test_coupling_dense_fallback_matches_propagation(monkeypatch):
+    # a 200-node non-sink cycle leaks half its mass per turn through node 0
+    # into a balanced 3-node sink: the series needs about 8,000 iterations,
+    # past its cap of 2,500, so the dense solve takes over
+    m = 200
+    edges = [(i, (i + 1) % m, -1 if i % 7 == 0 else 1) for i in range(m)]
+    edges += [(0, m, 1), (m, m, 1), (m, m + 1, 1), (m + 1, m + 2, -1), (m + 2, m, -1)]
+    G = sv.from_edge_list(edges)
+    dense_calls = []
+    original = sv.structure.Block.dense
+
+    def counted(block):
+        dense_calls.append(block.nrows)
+        return original(block)
+
+    monkeypatch.setattr(sv.structure.Block, "dense", counted)
+    x0 = np.random.default_rng(3).random(G.n)
+    ss = sv.steady_state(G, x0)
+    assert dense_calls == [m]
+    xe, xo, _ = sv.propagate_limit(G, x0, tol=1e-12)
+    assert np.abs(ss.x_even - xe).max() <= 1e-8 and np.abs(ss.x_odd - xo).max() <= 1e-8
+
+
 def test_steady_state_rejects_periodic_sink():
     G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 1, 1)])  # sink {1,2} is a 2-cycle
     with pytest.raises(PeriodicComponent):

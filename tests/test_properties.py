@@ -8,8 +8,12 @@ classes of planted-partition graphs of up to 60 nodes are compared with a
 included, are parsed by parse_snap and by a line-by-line reference parser.
 Alias tables are compared with a node-by-node build, and the blocked MC
 step with a step drawn in one shot.  The condensation of graphs of up to 60
-nodes with planted SCC shapes is compared with a NumPy-scalar Tarjan.
-Examples are derandomized, so every run tests the same inputs.
+nodes with planted SCC shapes is compared with a NumPy-scalar Tarjan.  On
+graphs of up to 8 nodes whose sinks are aperiodic and of every balance
+class, the closed-form steady state is compared with propagation to the
+limit, the selection values with brute force, and the negated graph's
+trajectory and steady state with the original's.  Examples are
+derandomized, so every run tests the same inputs.
 """
 
 import math
@@ -370,3 +374,101 @@ def test_threaded_step_matches_one_shot_draw(G, rows, block, threads, seed):
     want = reference_step_batch(G, tables, colors, oracle_rng)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@st.composite
+def sink_digraphs(draw):
+    """At most 8 nodes: up to three aperiodic sinks of 1 to 3 nodes, each with
+    balanced, anti-balanced or random signs, fed by up to three non-sink
+    nodes, then randomly relabeled.  A sink is a cycle through its nodes plus
+    a self-loop and chords; every non-sink node has an edge to a later
+    non-sink node or into a sink, so each one reaches a sink.  Returns the
+    graph and a start vector."""
+    x_size = draw(st.integers(0, 3))
+    sinks, free = [], 8 - x_size
+    while free and (not sinks or (len(sinks) < 3 and draw(st.booleans()))):
+        size = draw(st.integers(1, min(3, free)))
+        sinks.append(np.arange(size) + 8 - free)
+        free -= size
+    n = 8 - free
+    edges = []
+    for z in sinks:
+        side = dict(zip(z.tolist(), draw(st.lists(st.booleans(), min_size=z.size,
+                                                  max_size=z.size))))
+        pairs = [(int(z[i]), int(z[(i + 1) % z.size])) for i in range(z.size)]
+        pairs += [(int(z[0]), int(z[0]))]
+        pairs += draw(st.lists(st.tuples(st.sampled_from(z.tolist()),
+                                         st.sampled_from(z.tolist())), max_size=z.size))
+        planted = draw(st.sampled_from([1, -1, 0]))  # 0: random signs
+        for s, t in dict.fromkeys(pairs):
+            sign = draw(st.sampled_from([1, -1])) if planted == 0 else \
+                planted if side[s] == side[t] else -planted
+            edges.append((s, t, sign))
+    sign = st.sampled_from([1, -1])
+    for v in range(x_size):
+        pairs = [(v, draw(st.integers(v + 1, n - 1)))]
+        pairs += draw(st.lists(st.tuples(st.just(v), st.integers(0, n - 1)), max_size=2))
+        edges += [(s, t, draw(sign)) for s, t in dict.fromkeys(pairs)]
+    label = draw(st.permutations(range(n)))
+    G = sv.from_edge_list([(label[s], label[t], g) for s, t, g in edges])
+    x0 = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return G, np.array(x0)
+
+
+# a strictly unbalanced non-sink {0,1,2} feeding a balanced sink {3,4,5} and
+# an anti-balanced sink {6,7}; then a non-sink {0} feeding a strictly
+# unbalanced sink {1,2,3}
+_COUPLED = sv.from_edge_list([(0, 0, 1), (0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 0, -1), (2, 6, -1),
+                              (3, 3, 1), (3, 4, 1), (4, 3, 1), (4, 5, -1), (5, 4, -1),
+                              (6, 6, -1), (6, 7, -1), (7, 6, -1)])
+_UNBALANCED_SINK = sv.from_edge_list([(0, 1, 1), (0, 0, -1), (1, 1, 1), (1, 2, 1), (2, 3, -1),
+                                      (3, 1, 1), (3, 2, 1)])
+
+
+def _kinds(G):
+    return sorted(s.balance.kind.value for s in sv.decompose(G).sink_analysis)
+
+
+def test_coupled_examples_have_the_drawn_sink_kinds():
+    assert _kinds(_COUPLED) == ["anti_balanced", "balanced"]
+    assert sv.decompose(_COUPLED).non_sink.tolist() == [0, 1, 2]
+    assert _kinds(_UNBALANCED_SINK) == ["strictly_unbalanced"]
+    assert sv.decompose(_UNBALANCED_SINK).non_sink.tolist() == [0]
+
+
+@PROPERTY_SETTINGS
+@given(sink_digraphs())
+@example((_COUPLED, np.linspace(0.0, 1.0, 8)))
+@example((_UNBALANCED_SINK, np.array([1.0, 0.0, 0.25, 1.0])))
+def test_steady_state_matches_propagate_limit(case):
+    G, x0 = case
+    ss = sv.steady_state(G, x0)
+    even, odd, _ = sv.propagate_limit(G, x0, tol=1e-13)
+    assert np.abs(ss.x_even - even).max() <= 1e-9
+    assert np.abs(ss.x_odd - odd).max() <= 1e-9
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(sink_digraphs(), st.integers(0, 3), st.integers(1, 4))
+@example((_COUPLED, None), 2, 3)
+def test_selection_values_match_brute_force(case, k, t):
+    G = case[0]
+    for mode in ("instant", "average"):
+        want = sv.brute_force_opt(G, mode, k, t).value
+        assert abs(sv.svim_s(G, t, k, mode=mode).value - want) <= 1e-9, mode
+    assert abs(sv.svim_l(G, k).value - sv.brute_force_opt(G, "longterm", k).value) <= 1e-7
+
+
+@PROPERTY_SETTINGS
+@given(sink_digraphs())
+@example((_COUPLED, np.linspace(0.0, 1.0, 8)))
+def test_negation_keeps_even_steps_and_mirrors_odd_steps(case):
+    # P -> -P and g -> 1 - g: two steps give back P^2 x + P g + g, one step 1 - (P x + g)
+    G, x0 = case
+    neg = sv.negate_signs(G)
+    a, b = sv.propagate(G, x0, 7), sv.propagate(neg, x0, 7)
+    assert np.abs(a[::2] - b[::2]).max() <= 1e-12
+    assert np.abs(a[1::2] - (1.0 - b[1::2])).max() <= 1e-12
+    ss, ss_neg = sv.steady_state(G, x0), sv.steady_state(neg, x0)
+    assert np.abs(ss.x_even - ss_neg.x_even).max() <= 1e-9
+    assert np.abs(ss.x_odd - (1.0 - ss_neg.x_odd)).max() <= 1e-9

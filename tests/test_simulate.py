@@ -221,6 +221,22 @@ def test_mc_polarize_memory_does_not_grow_with_trials():
     assert peaks[1] <= peaks[0] + 2**18
 
 
+def test_batches_start_without_listing_every_batch():
+    # 10**6 full batches: the first is ready before any later one is made
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, 1)])
+    tracemalloc.start()
+    try:
+        rng, colors, spare = next(simulate._batches(G, [0], 8192 * 10**6, rng_seed=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert colors.shape == spare.shape == (8192, 2)
+    assert colors[:, 0].all() and not colors[:, 1].any()
+    first = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    assert rng.bit_generator.state == first.bit_generator.state
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("run, message", [
     (lambda G: sv.mc_run(G, [-1], t=0, trials=3, rng_seed=0), "seed id out of range"),
     (lambda G: sv.mc_run(G, [3], t=0, trials=3, rng_seed=0), "seed id out of range"),
