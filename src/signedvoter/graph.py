@@ -134,23 +134,27 @@ def _build(n: int, src, dst, w, repair_dangling: bool, dedupe: bool = False):
     """The graph on nodes 0..n-1 with edges src -> dst of signed weight w,
     and the number of repair self-loops added.
 
-    The inputs are trusted: ids in range, weights finite and nonzero.  Edges
-    are sorted by (src, dst).  Of a repeated pair, `dedupe` keeps the first
-    in input order and drops the rest; otherwise it raises DuplicateEdge.
+    The inputs are trusted: ids in range, weights finite and nonzero, arrays
+    contiguous and owned by the graph from here on.  Edges are sorted by
+    (src, dst) unless they already ascend strictly, which also rules out a
+    repeated pair.  Of a repeated pair, `dedupe` keeps the first in input
+    order and drops the rest; otherwise it raises DuplicateEdge.
     """
     missing = np.nonzero(np.bincount(src, minlength=n) == 0)[0]
     if repair_dangling:
         src = np.concatenate([src, missing])
         dst = np.concatenate([dst, missing])
         w = np.concatenate([w, np.ones(missing.size)])
-    order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
-    src, dst, w = src[order], dst[order], w[order]
-    first = np.ones(src.size, dtype=bool)  # the first edge of each (src, dst) pair
-    first[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0)
-    if not (dedupe or first.all()):
-        i = int(np.argmin(first))
-        raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
-    src, dst, w = src[first], dst[first], w[first]
+    step = np.diff(src)
+    if not np.all((step > 0) | ((step == 0) & (np.diff(dst) > 0))):
+        order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
+        src, dst, w = src[order], dst[order], w[order]
+        first = np.ones(src.size, dtype=bool)  # the first edge of each (src, dst) pair
+        first[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0)
+        if not (dedupe or first.all()):
+            i = int(np.argmin(first))
+            raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
+        src, dst, w = src[first], dst[first], w[first]
     if missing.size and not repair_dangling:
         raise DanglingNode(
             f"{missing.size} node(s) without out-edges (first: {missing[:5].tolist()}); "
@@ -196,47 +200,106 @@ def parse_snap(text: str, repair_dangling: bool = False) -> ParsedSnap:
     that is already exactly {0..n-1} is kept verbatim, so serialize
     round-trips exactly.
     """
-    table = _fields(text)
-    ends = table[:, :2].ravel()  # src and dst of each line, in file order
-    ids, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
-    verbatim = ids[0] == 0 and ids[-1] == ids.size - 1
-    order = np.arange(ids.size) if verbatim else np.argsort(first)
-    src, dst = np.argsort(order)[inverse].reshape(-1, 2).T  # compact ids
-    sign = table[:, 2]
-    graph, repaired = _build(ids.size, src, dst, np.where(sign > 0, 1.0, -1.0),
+    src, dst, sign = _plain_fields(text) or _checked_fields(text)
+    top = int(max(src.max(), dst.max()))
+    # at most 2m ids are used, so a larger top id (perhaps a huge one) is never verbatim
+    if (min(src.min(), dst.min()) == 0 and top < 2 * sign.size
+            and np.all(np.bincount(src, minlength=top + 1) + np.bincount(dst, minlength=top + 1))):
+        node_ids = np.arange(top + 1, dtype=np.int64)
+    else:
+        ends = np.stack((src, dst), axis=1).ravel()  # src and dst of each line, in file order
+        ids, first, inverse = np.unique(ends, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        node_ids = ids[order]
+        compact = np.argsort(order)  # the compact id of each sorted id
+        src, dst = compact[inverse[0::2]], compact[inverse[1::2]]
+    graph, repaired = _build(node_ids.size, src, dst, np.where(sign > 0, 1.0, -1.0),
                              repair_dangling, dedupe=True)
     # repair self-loops are positive, so every negative edge is a parsed one
-    return ParsedSnap(graph, ids[order], sign.size, int(np.count_nonzero(sign < 0)),
+    return ParsedSnap(graph, node_ids, sign.size, int(np.count_nonzero(sign < 0)),
                       graph.n_edges - repaired, graph.n_negative)
 
 
-def _fields(text: str) -> np.ndarray:
-    """The fields of every edge line, in file order, as an int64 (m, 3) array.
+_WIDTH = 18  # the most digits of a field parsed as bytes: 10**18 - 1 < 2**63
+_EDGE_BYTES = np.zeros(256, dtype=bool)  # what an edge line may hold
+_EDGE_BYTES[list(b"0123456789- \t\r\n")] = True
+_COMMENT_BYTES = np.zeros(256, dtype=bool)  # printable ASCII, tab, and the \r of a \r\n
+_COMMENT_BYTES[list(range(0x20, 0x7F)) + list(b"\t\r")] = True
 
-    The edge lines are split in one go, with a `;` token between lines.
-    Each line has three fields exactly when there are 4m - 1 tokens and,
-    once every fourth token is deleted, no `;` is left among the rest: the
-    int conversion, which NumPy does as int() would, rejects a `;`.
+
+def _plain_fields(text: str):
+    r"""The src, dst and sign fields of every edge line of a plain text, in
+    file order, as three int64 arrays; None when the text is not plain.
+
+    A plain text, encoded as UTF-8, holds only digits, `-`, space, tab, `\n`
+    and `\r` directly before `\n`, outside comment lines that start with `#`
+    in column 0 and hold printable ASCII.  Each non-blank line has three
+    fields of an optional leading `-` and 1-18 digits, and no sign is zero.
+    The comments are blanked and the field bounds found where the bytes
+    change between blank and not; each column of fields is then converted
+    in one gather of its last L bytes and a Horner loop over those L digits.
+    Any text this rejects, `_checked_fields` reads line by line.
     """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    m, joined = len(lines), " ; ".join(lines)
-    del lines  # free them before the token list, the largest object here, is built
-    tokens = joined.split()
-    try:
-        if len(tokens) != 4 * m - 1:
-            raise ValueError("a line without three fields")
-        del tokens[3::4]
-        table = np.array(tokens, dtype=np.int64).reshape(-1, 3)
-        if not table[:, 2].all():
-            raise ValueError("zero sign")
-    except (ValueError, OverflowError):
-        table = np.array(_checked_fields(text), dtype=np.int64).reshape(-1, 3)
-    return table
+    raw = text.encode("utf-8", "surrogatepass")
+    # blank room before the text for a field's window, and a final newline
+    buf = np.empty(_WIDTH + len(raw) + 1, dtype=np.uint8)
+    buf[:_WIDTH], buf[-1] = ord(" "), ord("\n")
+    buf[_WIDTH:-1] = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    cr = np.flatnonzero(buf == ord("\r"))
+    if np.any(buf[cr + 1] != ord("\n")):  # in range: the last byte is a \n
+        return None
+    newline = np.flatnonzero(buf == ord("\n"))
+    line_start = np.concatenate(([_WIDTH], newline[:-1] + 1))
+    comment = line_start[buf[line_start] == ord("#")]
+    del line_start
+    if comment.size:  # each comment's bytes up to its \n, found in time linear in them
+        length = newline[np.searchsorted(newline, comment)] - comment
+        before = np.cumsum(length) - length  # comment bytes before each comment
+        in_comment = np.arange(before[-1] + length[-1]) + np.repeat(comment - before, length)
+        if not np.all(_COMMENT_BYTES[buf[in_comment]]):
+            return None
+        buf[in_comment] = ord(" ")
+    if not np.all(_EDGE_BYTES[buf]):
+        return None
+    # the bytes up to a space are now the blanks; the text starts and ends
+    # blank, so the changes alternate: a field's first byte, the byte after
+    # it, the next field's first byte, ...
+    bounds = np.flatnonzero(np.diff((buf <= ord(" ")).view(np.int8)))
+    bounds += 1
+    per_line = np.diff(np.searchsorted(bounds, newline, "right"), prepend=0)  # two per field
+    del newline
+    if not bounds.size or np.any((per_line != 0) & (per_line != 6)):
+        return None
+    if np.count_nonzero(buf == ord("-")) != np.count_nonzero(buf[bounds[::2]] == ord("-")):
+        return None  # a - after a field's first byte
+    fields = [_field_values(buf, bounds[c::6], bounds[c + 1::6]) for c in (0, 2, 4)]
+    if any(f is None for f in fields) or not np.all(fields[2]):
+        return None  # a zero sign is reported, with its line, by `_checked_fields`
+    return fields
 
 
-def _checked_fields(text: str) -> list:
-    """The fields of every edge line, read line by line.  Runs only when the
-    bulk conversion in `_fields` fails, and raises on the first bad line."""
+def _field_values(buf, start, stop):
+    """The int64 values of the fields buf[start:stop], or None unless each
+    is an optional leading - and 1-18 digits."""
+    minus = buf[start] == ord("-")
+    digits = stop - start
+    digits -= minus
+    width = int(digits.max())
+    if digits.min() < 1 or width > _WIDTH:
+        return None
+    window = np.lib.stride_tricks.sliding_window_view(buf, width)[stop - width]
+    value = np.zeros(stop.size, dtype=np.int64)
+    for j in range(width):  # byte j of the window is a digit where the field has width - j
+        value *= 10
+        value += np.where(digits >= width - j, window[:, j] - ord("0"), 0)
+    return np.negative(value, out=value, where=minus)
+
+
+def _checked_fields(text: str) -> tuple:
+    """The src, dst and sign fields of every edge line, read line by line.
+    Runs only when `_plain_fields` rejects the text, and raises on the first
+    bad line."""
     fields = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -255,7 +318,7 @@ def _checked_fields(text: str) -> list:
         fields += values
     if not fields:
         raise MalformedLine("no edges in input")
-    return fields
+    return tuple(np.array(fields[c::3], dtype=np.int64) for c in range(3))
 
 
 def serialize(G: SignedDigraph) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 
 import signedvoter as sv
 from signedvoter.errors import (DanglingNode, GenerationFailed, MalformedLine,
-                                NotStronglyConnected, ZeroWeightEdge)
+                                NotStronglyConnected, SignedVoterError, ZeroWeightEdge)
 from signedvoter.simulate import AliasTables
 from signedvoter.structure import BalanceClass, BalanceKind, Decomposition, _ranges, _restrict
 
@@ -268,6 +268,31 @@ def reference_parse_snap(text, repair_dangling=False):
     )
     return sv.ParsedSnap(graph, node_ids, raw_edges, negative,
                          len(src), sum(1 for s in w if s < 0))
+
+
+def _parse_outcome(parse, text, repair):
+    try:
+        return parse(text, repair_dangling=repair)
+    except SignedVoterError as exc:
+        return type(exc), str(exc)
+
+
+def assert_parses_like_reference(text, repair=False):
+    """parse_snap and reference_parse_snap raise the same error, or give the
+    same graph, array dtypes, node ids and edge counts."""
+    got = _parse_outcome(sv.parse_snap, text, repair)
+    want = _parse_outcome(reference_parse_snap, text, repair)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert sv.graphs_equal(got.graph, want.graph)
+    for name in ("indptr", "targets", "weights", "signs", "out_weight"):
+        assert getattr(got.graph, name).dtype == getattr(want.graph, name).dtype, name
+    assert got.node_ids.dtype == want.node_ids.dtype
+    assert np.array_equal(got.node_ids, want.node_ids)
+    assert ((got.file_edges, got.file_negative, got.parsed_edges, got.parsed_negative)
+            == (want.file_edges, want.file_negative, want.parsed_edges, want.parsed_negative))
 
 
 def reference_build_alias_tables(G):

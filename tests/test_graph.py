@@ -1,5 +1,7 @@
 """Graph construction, parsing, and the matrix-free transition operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from signedvoter.errors import (
     NonFiniteWeight,
     ZeroWeightEdge,
 )
+from signedvoter.graph import _plain_fields
 
-from helpers import dense_ground, dense_p, random_graph
+from helpers import assert_parses_like_reference, dense_ground, dense_p, random_graph
 
 
 def test_minimal_cycle():
@@ -228,3 +231,62 @@ def test_parse_snap_reports_first_bad_line_in_file_order():
     parsed = sv.parse_snap("9223372036854775807 -9223372036854775808 1\n"
                            "-9223372036854775808 9223372036854775807 -1\n")
     assert parsed.node_ids.tolist() == [2**63 - 1, -2**63]
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("1 0 1\n0 1 -1\n", True),  # verbatim ids, unsorted edges
+    ("1 2 1\n2 1 -1\n", True),  # sorted edges, ids from 1
+    ("0 1 1\n0 1 -1\n1 0 1\n", True),  # a duplicate pair
+    ("007 1 1\n1 007 -1\n", True),
+    ("-0 1 1\n1 0 1\n", True),
+    ("0 1 1\r\n1 0 -1\r\n", True),
+    ("0\t1\t1\n1\t0\t-1\n", True),
+    ("999999999999999999 0 1\n0 999999999999999999 -1\n", True),  # 18 digits
+    ("# head\n0 1 1\n# note 1 2 3\n1 0 -1", True),  # comments, no final newline
+    ("0 1 1\n1 2 -1\n", True),  # a dangling node
+    ("0 1000000000000 1\n1000000000000 0 1\n", True),
+    ("0 1 +1\n1 0 1\n", False),
+    ("0 1_000 1\n1_000 0 1\n", False),
+    ("0 1 1\r1 0 -1\r", False),
+    ("0 1 1\n1 0 1\x0c", False),
+    ("0 1 1\n  # note\n1 0 -1\n", False),
+    ("# café\n0 1 1\n1 0 1\n", False),
+    ("0 １ 1\n１ 0 1\n", False),
+    ("0 1 1000000000000000000\n1 0 -1\n", False),  # 19 digits
+    ("0 - 1\n1 0 1\n", False),
+    ("0 1-2 1\n1 0 1\n", False),
+    ("0 1 --1\n1 0 1\n", False),
+    ("0 1 1\n1 0 -0\n", False),  # a zero sign
+    ("0 1 1\n1 0\n", False),
+    ("0 1 1 1\n1 0 1\n", False),
+    ("\n  \n", False),
+])
+def test_parse_snap_byte_path_boundaries(text, plain):
+    """Which texts the byte path reads itself; either way the result is the
+    line-by-line reference parser's."""
+    assert (_plain_fields(text) is not None) == plain
+    for repair in (False, True):
+        assert_parses_like_reference(text, repair)
+
+
+def test_parse_snap_zero_sign_names_its_line():
+    with pytest.raises(ZeroWeightEdge, match="^line 3: zero sign"):
+        sv.parse_snap("# head\n0 1 1\n1 0 -0\n")
+
+
+def test_parse_snap_memory_peak_on_a_canonical_file():
+    """About 100k edges: the peak stays under 10 bytes per byte of text (a
+    list of one str per field took 14)."""
+    n = 25_000
+    src = np.repeat(np.arange(n), 4)
+    dst = (src + np.tile([1, 2, 3, 7], n)) % n
+    sign = np.random.default_rng(5).choice([-1, 1], size=src.size)
+    text = sv.serialize(sv.from_edge_list(zip(src.tolist(), dst.tolist(), sign.tolist())))
+    tracemalloc.start()
+    try:
+        parsed = sv.parse_snap(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph.n_edges == 100_000
+    assert peak < 10 * len(text), peak

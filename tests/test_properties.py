@@ -5,7 +5,8 @@ Random signed digraphs of at most 8 nodes; every SCC is checked, and every
 transition-matrix product is compared with the dense matrix.  Balance
 classes of planted-partition graphs of up to 60 nodes are compared with a
 2-coloring of the signed double cover.  Random edge-list texts, bad lines
-included, are parsed by parse_snap and by a line-by-line reference parser.
+included, are parsed by parse_snap and by a line-by-line reference parser,
+and so are serialized graphs with one line-level mutation each.
 Alias tables are compared with a node-by-node build, and the blocked MC
 step with a step drawn in one shot.  The condensation of graphs of up to 60
 nodes with planted SCC shapes is compared with a NumPy-scalar Tarjan.  On
@@ -26,10 +27,10 @@ from hypothesis import strategies as st
 
 import signedvoter as sv
 from signedvoter import simulate
-from signedvoter.errors import SignedVoterError
 from signedvoter.structure import BalanceKind
 
-from helpers import (dense_p, reference_build_alias_tables, reference_classify_balance,
+from helpers import (_parse_outcome, assert_parses_like_reference, dense_p,
+                     reference_build_alias_tables, reference_classify_balance,
                      reference_decompose, reference_parse_snap, reference_step_batch)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -270,13 +271,6 @@ def edge_list_texts(draw):
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
-def _parse_outcome(parse, text, repair):
-    try:
-        return parse(text, repair_dangling=repair)
-    except SignedVoterError as exc:
-        return type(exc), str(exc)
-
-
 @PROPERTY_SETTINGS
 @given(edge_list_texts(), st.booleans())
 @example("1 2\n1 2 1 1\n2 1 1\n", False)  # a 2- and a 4-field line: 9 fields in 3 lines
@@ -284,6 +278,36 @@ def _parse_outcome(parse, text, repair):
 @example("1 2\n; 3 4 5\n", True)  # a ";" field where the separator would be
 @example("# header\n\n   \n", False)
 @example("".join(f"0 {v} 1\n" for v in range(1, 7)), False)  # six dangling nodes
+# the byte path's boundaries: which skip applies, and which texts it hands on
+@example("1 0 1\n0 1 -1\n", False)  # verbatim ids, unsorted edges
+@example("1 2 1\n2 1 -1\n", False)  # sorted edges, ids from 1
+@example("0 1 1\n0 1 -1\n1 0 1\n1 0 1\n", False)  # duplicate lines
+@example("0 1 +1\n1 0 1\n", False)
+@example("0 1_000 1\n1_000 0 1\n", False)
+@example("007 1 1\n1 007 -1\n", False)
+@example("0 1 1\r\n1 0 -1\r\n", False)
+@example("0 1 1\r1 0 -1\r", False)  # lone \r line ends
+@example("0 1\r1\n1 0 1\n", False)  # a \r in the middle of a line
+@example("0\t1\t1\n1\t0\t-1\n", False)
+@example("0 1 100000000000000000\n1 0 -999999999999999999\n", False)  # 18 digits
+@example("999999999999999999 0 1\n0 999999999999999999 1\n", False)
+@example("0 1 1000000000000000000\n1 0 -1\n", False)  # 19 digits
+@example("9223372036854775807 -9223372036854775808 1\n"
+         "-9223372036854775808 9223372036854775807 -1\n", False)
+@example("0 1 1\n# note 1 2 3\n1 0 -1\n", False)  # a comment between edges
+@example("0 1 1\n  # note\n1 0 -1\n", False)  # an indented comment
+@example("# caf\u00e9\n0 1 1\n1 0 1\n", False)  # a non-ASCII comment
+@example("# a\u20281 0 1\n0 1 1\n", False)  # a line separator inside a comment
+@example("0 1 1\x0c1 0 1\n", False)  # a form feed ends a line
+@example("0 1 1\n1 0 -1", False)  # no final newline
+@example("0 - 1\n1 0 1\n", False)
+@example("0 1-2 1\n1 0 1\n", False)
+@example("0 1 --1\n1 0 1\n", False)
+@example("0 1 1\n1 0 -0\n", False)  # a zero sign on line 2
+@example("-0 1 1\n1 0 1\n", False)  # -0 is the id 0
+@example("0 1 1\n1 2 -1\n", False)  # canonical but for a dangling node
+@example("0 1 1\n1 2 -1\n", True)
+@example("0 1000000000000 1\n1000000000000 0 1\n", False)  # no bincount of 10**12 ids
 def test_parse_snap_matches_reference_parser(text, repair):
     got = _parse_outcome(sv.parse_snap, text, repair)
     want = _parse_outcome(reference_parse_snap, text, repair)
@@ -298,6 +322,38 @@ def test_parse_snap_matches_reference_parser(text, repair):
     assert np.array_equal(got.node_ids, want.node_ids)
     assert ((got.file_edges, got.file_negative, got.parsed_edges, got.parsed_negative)
             == (want.file_edges, want.file_negative, want.parsed_edges, want.parsed_negative))
+
+
+_MUTATIONS = ["swap", "repeat", "offset", "tabs", "crlf", "comment", "no final newline"]
+
+
+@PROPERTY_SETTINGS
+@given(signed_digraphs(), st.sampled_from(_MUTATIONS), st.data())
+def test_parse_snap_matches_reference_on_mutated_canonical_files(G, mutation, data):
+    """A serialized graph with one change: each of the byte path's skips
+    (no id remap, no edge sort) is crossed from both sides."""
+    header, *lines = sv.serialize(G).splitlines(keepends=True)
+    index = st.integers(0, len(lines) - 1)
+    if mutation == "swap":  # verbatim ids, edges out of order
+        i, j = data.draw(index), data.draw(index)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif mutation == "repeat":  # a duplicate pair
+        lines.insert(data.draw(index), lines[data.draw(index)])
+    elif mutation == "offset":  # sorted edges, ids not verbatim
+        offset = data.draw(st.sampled_from([1, 3, 10**12]))
+        lines = [" ".join(str(int(f) + offset) for f in line.split()[:2])
+                 + f" {line.split()[2]}\n" for line in lines]
+    elif mutation == "comment":
+        lines.insert(data.draw(st.integers(0, len(lines))), "# note 0 1 1\n")
+    text = header + "".join(lines)
+    if mutation == "tabs":
+        text = text.replace(" ", "\t")
+    elif mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "no final newline":
+        text = text[:-1]
+    assert sv.graph._plain_fields(text) is not None  # every mutation stays plain
+    assert_parses_like_reference(text, data.draw(st.booleans()))
 
 
 @PROPERTY_SETTINGS
