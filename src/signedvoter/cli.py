@@ -257,6 +257,8 @@ def _cmd_dynamics(args, out: Path) -> None:
     x0 = indicator(G.n, seeds)
     if args.per_node and args.t is None:
         raise UsageError("--per-node requires --t")
+    # first: a periodic sink fails here, not after the adaptive loop's cap
+    steady = _steady_record(G, x0)
 
     if args.t is not None:
         traj = propagate(G, x0, args.t)
@@ -287,7 +289,7 @@ def _cmd_dynamics(args, out: Path) -> None:
             lag2, lag1 = lag1, nxt
         header = ["step", "total_white_expectation"]
     _write_csv(out / "trajectory.csv", header, rows)
-    _write_json(out / "steady_state.json", _steady_record(G, x0))
+    _write_json(out / "steady_state.json", steady)
 
 
 def _cmd_simulate(args, out: Path) -> None:

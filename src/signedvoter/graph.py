@@ -255,8 +255,7 @@ def _plain_fields(text: str):
     del line_start
     if comment.size:  # each comment's bytes up to its \n, found in time linear in them
         length = newline[np.searchsorted(newline, comment)] - comment
-        before = np.cumsum(length) - length  # comment bytes before each comment
-        in_comment = np.arange(before[-1] + length[-1]) + np.repeat(comment - before, length)
+        in_comment = _ranges(comment, length)
         if not np.all(_COMMENT_BYTES[buf[in_comment]]):
             return None
         buf[in_comment] = ord(" ")
@@ -277,6 +276,11 @@ def _plain_fields(text: str):
     if any(f is None for f in fields) or not np.all(fields[2]):
         return None  # a zero sign is reported, with its line, by `_checked_fields`
     return fields
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index ranges start[i] : start[i] + count[i], concatenated."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _field_values(buf, start, stop):

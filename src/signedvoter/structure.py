@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
-from .graph import SignedDigraph, scatter
+from .graph import SignedDigraph, _ranges, scatter
 
 
 class BalanceKind(Enum):
@@ -245,11 +245,6 @@ def decompose(G: SignedDigraph) -> Decomposition:
     non_sink = np.nonzero(has_out[scc_id])[0]
     G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink)
     return G._decomposition
-
-
-def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The index ranges start[i] : start[i] + count[i], concatenated."""
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
 def _restrict(G: SignedDigraph, rows: np.ndarray, cols: np.ndarray):

@@ -253,6 +253,17 @@ def test_exit_code_numeric_failure(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "f")]) == 3
 
 
+def test_dynamics_periodic_sink_fails_before_the_adaptive_loop(tmp_path, capsys):
+    # a period-3 sink never passes the same-parity test; the steady state rejects it first
+    cycle = tmp_path / "cycle.edges"
+    cycle.write_text("0 1 1\n1 2 1\n2 0 1")
+    out = tmp_path / "p"
+    assert main(["dynamics", "--graph", str(cycle), "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "data error: sink component containing node 0 is periodic\n"
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_usage_error_on_bad_seeds(wc_graph, tmp_path):
     assert main(["dynamics", "--graph", wc_graph, "--seeds", "0,zap",
                  "--t", "2", "--out", str(tmp_path / "x")]) == 1

@@ -140,6 +140,10 @@ def planted_partition_digraphs(draw):
 
 @PROPERTY_SETTINGS
 @given(planted_partition_digraphs())
+# anti-balanced with S = {0, 2}; node 3 is one undirected hop from node 0 but
+# three directed hops, so the directed BFS tree differs from the undirected one
+@example(sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1),
+                            (1, 0, 1), (2, 0, -1)]))
 def test_classify_balance_matches_double_cover_oracle(G):
     nodes = np.arange(G.n)
     got, want = sv.classify_balance(nodes, G), reference_classify_balance(nodes, G)
