@@ -5,16 +5,23 @@ proportional to edge weight and copies its current color through positive
 edges, the opposite color through negative edges.  Sampling uses one alias
 table per node; trials run vectorized in fixed-size batches, each batch on
 its own spawned RNG stream, so results are reproducible for a fixed seed
-and independent of how batches would be scheduled.  A step walks its batch
-in blocks of a fixed number of node-updates, reusing one set of block
-buffers, and writes into a second color array: mc_run and mc_polarize
-hold two color arrays of one batch plus one block per thread.  A step's
-rows are split across up to _threads() threads, each starting its share
-of a PCG64 batch stream at that share's first draw, so results do not
-depend on the thread count.
+and independent of how batches would be scheduled.
+
+A step draws a batch's uniforms in the C order of one (rows, n) draw per
+step.  A float64 draw takes exactly one PCG64 output, so any row of any
+step can start from a copy of the batch generator advanced to its first
+draw (_seek), and results do not depend on how rows are split among the
+up to _threads() worker threads.  mc_run is tile-major: each worker runs
+its own row tiles, at most one block of node-updates each, through all t
+steps and counts them as it goes, so it holds two tile arrays and one
+block of scratch per worker, whatever the number of trials and n.
+mc_polarize is step-major, stepping a whole batch at a time in two color
+arrays of the batch: it drops absorbed rows after each step, so where a
+row draws from depends on how many rows earlier steps dropped.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,6 +78,7 @@ class _Scratch:
     """The buffers of one block of the MC step, allocated once per worker."""
 
     def __init__(self, rows: int, n: int, dtype, weighted: bool):
+        self.rows = rows
         self.y = np.empty((rows, n))
         self.e = np.empty((rows, n), dtype=np.intp)
         self.s = np.empty((rows, n), dtype=dtype)
@@ -89,24 +97,38 @@ def _threads() -> int:
     return max(1, min(_MAX_THREADS, cores))
 
 
+def _seek(bits: np.random.PCG64, state: dict, row: int, n: int) -> None:
+    """Set `bits` to where a PCG64 in `state` stands after `row` rows of n
+    float64 draws: `state` advanced by row * n outputs.
+
+    advance() drops a buffered 32-bit value, which float64 draws neither
+    use nor change, so it is put back.
+    """
+    bits.state = state
+    bits.advance(row * n)
+    if state["has_uint32"]:
+        end = bits.state
+        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = end
+
+
 class _Stepper:
-    """The synchronous MC step of one graph, run over a batch in row blocks.
+    """The synchronous MC step of one graph, run over rows in row blocks.
 
-    A block holds about _BLOCK node-updates in whole rows, and all of its
-    scratch arrays are allocated once.  Its uniforms are drawn in place, in
-    the C order of a single rng.random((rows, n)) draw, so a batch consumes
-    the same stream whatever the block size, and a step allocates nothing
-    of size rows x n.  Each uniform u picks slot floor(u * degree) of its
-    node's out-edges; on weighted tables the slot's alias is taken when
-    the fraction left over reaches the slot's accept probability.
+    A block holds about _BLOCK node-updates in whole rows, and its scratch
+    arrays are allocated once per worker.  Its uniforms are drawn in place,
+    in the C order of a single rng.random((rows, n)) draw, so a batch
+    consumes the same stream whatever the block size, and a step allocates
+    nothing of size rows x n.  Each uniform u picks slot floor(u * degree)
+    of its node's out-edges; on weighted tables the slot's alias is taken
+    when the fraction left over reaches the slot's accept probability.
 
-    Inside a `with` block, a step on a PCG64 generator splits its rows
-    evenly among up to _threads() workers, no more than it has blocks, each
-    with its own block of scratch.  A float64 draw takes exactly one PCG64
-    output, so the worker that starts at row a draws from a copy of the
-    generator advanced by a * n outputs: every row gets the uniforms of the
-    one-thread step, and the generator ends where that step leaves it.  The
-    worker threads end with the `with` block.
+    Inside a `with` block, up to _threads() workers share the work, each
+    with its own block of scratch, and a worker's rows draw from a copy of
+    the generator moved to their first draw (_seek).  A step (__call__)
+    splits its rows evenly among no more workers than it has blocks; walk
+    runs a batch tile by tile through all its steps.  The worker threads
+    end with the `with` block.
     """
 
     def __init__(self, G: SignedDigraph, tables: AliasTables):
@@ -122,11 +144,17 @@ class _Stepper:
         # None on unit-weight tables: with every accept at 1.0 the fraction
         # left over always falls below it, and the slot is the edge
         self.tables = None if np.all(tables.accept == 1.0) else tables
-        self.scratch = [self._new_scratch()]
+        self.scratch = []
         self.threads, self.pool = 1, None
 
-    def _new_scratch(self) -> _Scratch:
-        return _Scratch(self.rows, self.n, self.signed.dtype, self.tables is not None)
+    def _buffers(self, workers: int) -> list:
+        """One block of scratch for each of `workers` workers.  No tile holds
+        more than ceil(_BATCH / threads) rows, so neither does a block."""
+        rows = min(self.rows, -(-_BATCH // self.threads))
+        while len(self.scratch) < workers:
+            self.scratch.append(_Scratch(rows, self.n, self.signed.dtype,
+                                         self.tables is not None))
+        return self.scratch
 
     def __enter__(self):
         self.threads = _threads()
@@ -141,45 +169,80 @@ class _Stepper:
 
     def __call__(self, colors: np.ndarray, rng: np.random.Generator,
                  out: np.ndarray) -> np.ndarray:
-        """Write the step of C-contiguous boolean `colors` into `out`."""
+        """Write the step of C-contiguous boolean `colors` into `out`; `rng`
+        ends where one rng.random(colors.shape) draw leaves it."""
         rows = colors.shape[0]
         blocks = -(-rows // self.rows)
         # other bit generators cannot jump by a count of float64 draws
         workers = min(self.threads, blocks) if type(rng.bit_generator) is np.random.PCG64 else 1
         if workers <= 1:
-            self._run(self.scratch[0], colors, rng, out)
+            self._run(self._buffers(1)[0], colors, rng, out)
             return out
         # worker w steps rows cuts[w]:cuts[w + 1] in blocks of its own
         cuts = [w * rows // workers for w in range(workers + 1)]
-        while len(self.scratch) < workers:
-            self.scratch.append(self._new_scratch())
-        bits = rng.bit_generator
-        start = bits.state
+        scratch = self._buffers(workers)
+        start = rng.bit_generator.state
         jobs = []
         for w in range(1, workers):
             a, b = cuts[w], cuts[w + 1]
-            jumped = np.random.PCG64()
-            jumped.state = start
-            jumped.advance(a * self.n)
-            jobs.append(self.pool.submit(self._run, self.scratch[w], colors[a:b],
-                                         np.random.Generator(jumped), out[a:b]))
-        self._run(self.scratch[0], colors[:cuts[1]], rng, out[:cuts[1]])
+            jumped = np.random.Generator(np.random.PCG64())
+            _seek(jumped.bit_generator, start, a, self.n)
+            jobs.append(self.pool.submit(self._run, scratch[w], colors[a:b], jumped, out[a:b]))
+        self._run(scratch[0], colors[:cuts[1]], rng, out[:cuts[1]])
         for job in jobs:
             job.result()  # on a failure, __exit__ waits for the other workers
-        bits.advance((rows - cuts[1]) * self.n)
-        # advance() drops a buffered 32-bit value, which float64 draws keep
-        end = bits.state
-        end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
-        bits.state = end
+        _seek(rng.bit_generator, start, rows, self.n)
         return out
+
+    def walk(self, rng: np.random.Generator, size: int, initial: np.ndarray, t: int,
+             count, finish) -> None:
+        """Run `size` trials from the `initial` colors through t steps, tile
+        by tile, drawing what stepping all of them at once with `rng`, a
+        PCG64 generator, would draw.
+
+        Tiles hold min(one block, ceil(size / threads)) rows, so a batch of
+        fewer blocks than threads still uses every thread.  Worker w runs
+        tiles w, w + workers, ... each through all t steps in two tile
+        arrays of its own.  At step k, the tile of rows a:b draws from `rng`
+        moved past k - 1 whole steps and a rows, where the step of all
+        `size` rows draws them.  After step k (k = 0: the start state) the
+        worker calls count(k, colors) on the tile, and after step t
+        finish(colors, spare), with a spare array of the tile's shape; both
+        run on worker threads.
+        """
+        rows = min(self.rows, -(-size // self.threads))
+        tiles = range(0, size, rows)
+        workers = min(self.threads, len(tiles))
+        scratch = self._buffers(workers)
+        start = rng.bit_generator.state
+
+        def run(w: int) -> None:
+            buf = scratch[w]
+            jumped = np.random.Generator(np.random.PCG64())
+            pair = np.empty((2, rows, self.n), dtype=bool)
+            for a in tiles[w::workers]:
+                colors, spare = pair[:, :min(rows, size - a)]
+                colors[:] = initial
+                count(0, colors)
+                for k in range(1, t + 1):
+                    _seek(jumped.bit_generator, start, (k - 1) * size + a, self.n)
+                    self._run(buf, colors, jumped, spare)
+                    colors, spare = spare, colors
+                    count(k, colors)
+                finish(colors, spare)
+
+        jobs = [self.pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for job in jobs:
+            job.result()  # on a failure, __exit__ waits for the other workers
 
     def _run(self, buf: _Scratch, colors: np.ndarray, rng: np.random.Generator,
              out: np.ndarray) -> None:
         """Step `colors` into `out` block by block in the buffers of `buf`."""
         # take(out=) copies through a temporary under mode="raise"; every
         # index here is in range by construction, so "clip" never clips
-        for r0 in range(0, colors.shape[0], self.rows):
-            old = colors[r0:r0 + self.rows]
+        for r0 in range(0, colors.shape[0], buf.rows):
+            old = colors[r0:r0 + buf.rows]
             r = old.shape[0]
             y, e, s = buf.y[:r], buf.e[:r], buf.s[:r]
             rng.random(out=y)
@@ -239,25 +302,39 @@ class SimStats:
     s_black: int | None = None
 
 
-def _batches(G: SignedDigraph, seeds, trials: int, rng_seed: int):
-    """Yield each batch's generator and its two color arrays, the first set
-    to the start state: white on `seeds`, black elsewhere.
+def _streams(trials: int, rng_seed: int):
+    """Each batch's size and generator, in batch order.
 
     Batch b holds up to _BATCH trials and draws from the b-th spawn of
     SeedSequence(rng_seed), spawned when the batch starts: successive
-    spawn(1) calls give the children of one spawn(k).  Every batch reuses
-    the same pair of arrays.
+    spawn(1) calls give the children of one spawn(k).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    initial = indicator(G.n, seeds) > 0
     root = np.random.SeedSequence(rng_seed)
+    return ((min(_BATCH, trials - start), np.random.default_rng(root.spawn(1)[0]))
+            for start in range(0, trials, _BATCH))
+
+
+def _batches(G: SignedDigraph, seeds, trials: int, rng_seed: int):
+    """Yield each batch's generator (see _streams) and its two color arrays,
+    the first set to the start state: white on `seeds`, black elsewhere.
+    Every batch reuses the same pair of arrays."""
+    streams = _streams(trials, rng_seed)
+    initial = indicator(G.n, seeds) > 0
     pair = np.empty((2, min(trials, _BATCH), G.n), dtype=bool)
-    for start in range(0, trials, _BATCH):
-        size = min(_BATCH, trials - start)
+    for size, rng in streams:
         colors, spare = pair[0, :size], pair[1, :size]
         colors[:] = initial
-        yield np.random.default_rng(root.spawn(1)[0]), colors, spare
+        yield rng, colors, spare
+
+
+def _partition_mask(G: SignedDigraph, partition) -> np.ndarray:
+    """`partition` as a boolean mask of the n nodes."""
+    in_s = np.asarray(partition, dtype=bool)
+    if in_s.shape != (G.n,):
+        raise ValueError(f"partition must have n = {G.n} entries, got {in_s.size}")
+    return in_s
 
 
 def _polarized(colors: np.ndarray, in_s: np.ndarray, scratch: np.ndarray):
@@ -266,46 +343,81 @@ def _polarized(colors: np.ndarray, in_s: np.ndarray, scratch: np.ndarray):
     return mism == 0, mism == colors.shape[1]
 
 
+class _Tally:
+    """mc_run's sums, added to from every worker thread.  A batch's white
+    counts per step and their squares are summed exactly, as Python ints,
+    and added to the float64 totals when the batch ends."""
+
+    def __init__(self, t: int, n: int, track_nodes: bool, in_s):
+        self.lock = threading.Lock()
+        self.sum_w, self.sum_w2 = np.zeros(t + 1), np.zeros(t + 1)
+        self.w, self.w2 = [0] * (t + 1), [0] * (t + 1)
+        self.node_sum = np.zeros((t + 1, n)) if track_nodes else None
+        self.in_s = in_s
+        self.s_white = self.s_black = 0
+
+    def count(self, k: int, colors: np.ndarray) -> None:
+        w = colors.sum(axis=1)
+        # exact in int64: a tile holds at most max(_BLOCK, n) colors, so
+        # w @ w <= max(_BLOCK, n) * n
+        total, squares = int(w.sum()), int(w @ w)
+        nodes = None if self.node_sum is None else colors.sum(axis=0)
+        with self.lock:
+            self.w[k] += total
+            self.w2[k] += squares
+            if nodes is not None:
+                # float64 sums of integer counts up to trials are exact in any order
+                self.node_sum[k] += nodes
+
+    def finish(self, colors: np.ndarray, spare: np.ndarray) -> None:
+        if self.in_s is None:
+            return
+        hit_white, hit_black = _polarized(colors, self.in_s, spare)
+        with self.lock:
+            self.s_white += int(hit_white.sum())
+            self.s_black += int(hit_black.sum())
+
+    def end_batch(self) -> None:
+        self.sum_w += np.array(self.w, dtype=np.float64)
+        self.sum_w2 += np.array(self.w2, dtype=np.float64)
+        self.w, self.w2 = [0] * len(self.w), [0] * len(self.w2)
+
+
 def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
            track_nodes: bool = False, partition=None) -> SimStats:
     """Run `trials` independent t-step trajectories from white-on-seeds.
 
     Identical arguments always produce identical statistics: trials are
     split into fixed-size batches and batch b consumes the b-th spawn of
-    SeedSequence(rng_seed).
+    SeedSequence(rng_seed), each step of a batch drawing as one
+    rng.random((rows, n)) call, whatever the thread count.  Each batch's
+    white counts and their squares are summed exactly, as integers, and
+    added to the float64 totals once per batch and step; that equals a
+    float64 sum over the batch's rows whenever batch rows * n**2 < 2**53,
+    that is n below about 1.05M at 8,192 rows.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    sum_w = np.zeros(t + 1)
-    sum_w2 = np.zeros(t + 1)
-    node_sum = np.zeros((t + 1, G.n)) if track_nodes else None
-    in_s = None if partition is None else np.asarray(partition, dtype=bool)
-    s_white = s_black = 0
+    in_s = None if partition is None else _partition_mask(G, partition)
+    streams = _streams(trials, rng_seed)
+    initial = indicator(G.n, seeds) > 0
+    tally = _Tally(t, G.n, track_nodes, in_s)
     with _Stepper(G, build_alias_tables(G)) as step:
-        for rng, colors, spare in _batches(G, seeds, trials, rng_seed):
-            for k in range(t + 1):
-                if k:
-                    colors, spare = step(colors, rng, spare), colors
-                w = colors.sum(axis=1)
-                sum_w[k] += w.sum()
-                sum_w2[k] += np.square(w, dtype=np.float64).sum()
-                if track_nodes:
-                    node_sum[k] += colors.sum(axis=0)
-            if in_s is not None:
-                hit_white, hit_black = _polarized(colors, in_s, spare)
-                s_white += int(hit_white.sum())
-                s_black += int(hit_black.sum())
+        for size, rng in streams:
+            step.walk(rng, size, initial, t, tally.count, tally.finish)
+            tally.end_batch()
 
+    sum_w, sum_w2 = tally.sum_w, tally.sum_w2
     mean = sum_w / trials
     if trials > 1:
         var = np.maximum(sum_w2 - sum_w**2 / trials, 0.0) / (trials - 1)
         stderr = np.sqrt(var / trials)
     else:
         stderr = np.zeros(t + 1)
-    freq = node_sum / trials if track_nodes else None
+    freq = tally.node_sum / trials if track_nodes else None
     return SimStats(t, trials, rng_seed, mean, stderr, freq,
-                    s_white if in_s is not None else None,
-                    s_black if in_s is not None else None)
+                    tally.s_white if in_s is not None else None,
+                    tally.s_black if in_s is not None else None)
 
 
 @dataclass
@@ -338,7 +450,7 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     polarized state every node deterministically keeps its color, so a trial
     that matches the partition (or its complement) exactly is finished.
     """
-    in_s = np.asarray(partition, dtype=bool)
+    in_s = _partition_mask(G, partition)
     absorbed = np.zeros(_POLARIZE_MAX_STEPS + 1, dtype=np.int64)  # per step, over all batches
     s_white = s_black = steps = 0
     with _Stepper(G, build_alias_tables(G)) as step:

@@ -334,6 +334,37 @@ def reference_step_batch(G, tables, colors, rng):
     return picked ^ tables.negative[e]
 
 
+def reference_mc_run(G, seeds, t, trials, rng_seed, batch, partition):
+    """mc_run stepped a whole batch at a time, each step one (rows, n) draw
+    (reference_step_batch): the step-major oracle for the tile runner of
+    simulate.  Returns mean, stderr, node_freq, s_white and s_black."""
+    tables = reference_build_alias_tables(G)
+    initial = sv.indicator(G.n, seeds) > 0
+    in_s = np.asarray(partition, dtype=bool)
+    children = np.random.SeedSequence(rng_seed).spawn(-(-trials // batch))
+    sum_w, sum_w2, node_sum = np.zeros(t + 1), np.zeros(t + 1), np.zeros((t + 1, G.n))
+    s_white = s_black = 0
+    for start, child in zip(range(0, trials, batch), children):
+        rng = np.random.default_rng(child)
+        colors = np.repeat(initial[None, :], min(batch, trials - start), axis=0)
+        for k in range(t + 1):
+            if k:
+                colors = reference_step_batch(G, tables, colors, rng)
+            w = colors.sum(axis=1)
+            sum_w[k] += w.sum()
+            sum_w2[k] += np.square(w, dtype=np.float64).sum()
+            node_sum[k] += colors.sum(axis=0)
+        mismatches = (colors != in_s).sum(axis=1)
+        s_white += int((mismatches == 0).sum())
+        s_black += int((mismatches == G.n).sum())
+    stderr = np.zeros(t + 1)
+    if trials > 1:
+        var = np.maximum(sum_w2 - sum_w**2 / trials, 0.0) / (trials - 1)
+        stderr = np.sqrt(var / trials)
+    return {"mean": sum_w / trials, "stderr": stderr, "node_freq": node_sum / trials,
+            "s_white": s_white, "s_black": s_black}
+
+
 def _reference_bfs_levels(k, src, dst):
     """Hop distance from local node 0 along edges src -> dst; -1 where unreached."""
     adj = dst[np.argsort(src, kind="stable")]

@@ -31,7 +31,8 @@ from signedvoter.structure import BalanceKind
 
 from helpers import (_parse_outcome, assert_parses_like_reference, dense_p,
                      reference_build_alias_tables, reference_classify_balance,
-                     reference_decompose, reference_parse_snap, reference_step_batch)
+                     reference_decompose, reference_mc_run, reference_parse_snap,
+                     reference_step_batch)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -434,6 +435,35 @@ def test_threaded_step_matches_one_shot_draw(G, rows, block, threads, seed):
     want = reference_step_batch(G, tables, colors, oracle_rng)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@PROPERTY_SETTINGS
+@given(weighted_digraphs(), st.sampled_from([1, 2, 3]),
+       st.sampled_from(["default", "1", "7", "n+3"]), st.sampled_from([0, 1, 5]),
+       st.sampled_from([4, 7, 11]), st.data())
+def test_tile_major_mc_run_matches_step_major_oracle(G, threads, block, t, batch, data):
+    # a full batch and a partial one; tiles of min(block rows, ceil(size / threads))
+    # rows, so most batches end in a partial tile, and the default block splits
+    # each batch below one block
+    trials = batch + data.draw(st.integers(1, batch - 1), label="partial batch")
+    seeds = data.draw(st.lists(st.integers(0, G.n - 1), unique=True, max_size=G.n), label="seeds")
+    initial = sv.indicator(G.n, seeds) > 0
+    # the seed mask and its complement are hit at t = 0 by every trial
+    partition = data.draw(st.one_of(
+        st.sampled_from([initial, ~initial]),
+        st.lists(st.booleans(), min_size=G.n, max_size=G.n).map(np.array)), label="partition")
+    rng_seed = data.draw(st.integers(0, 2**32 - 1), label="rng_seed")
+    size = {"default": simulate._BLOCK, "1": 1, "7": 7, "n+3": G.n + 3}[block]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_BLOCK", size)
+        mp.setattr(simulate, "_BATCH", batch)
+        mp.setattr(simulate, "_threads", lambda: threads)
+        got = sv.mc_run(G, seeds, t, trials, rng_seed, track_nodes=True, partition=partition)
+    want = reference_mc_run(G, seeds, t, trials, rng_seed, batch, partition)
+    for name in ("mean", "stderr", "node_freq"):
+        a, b = getattr(got, name), want[name]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (got.s_white, got.s_black) == (want["s_white"], want["s_black"])
 
 
 @st.composite

@@ -204,6 +204,29 @@ def test_mc_run_memory_is_two_color_batches_plus_one_block():
     assert peak < 4 * colors_bytes + 32 * 2**20
 
 
+def _mc_run_peak(G, t, trials):
+    tracemalloc.start()
+    try:
+        sv.mc_run(G, [0, 1], t=t, trials=trials, rng_seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_run_memory_does_not_grow_with_trials(monkeypatch):
+    # each worker holds two tiles and one block of scratch, not a batch of colors:
+    # 8,192 trials take at most one block of rows per tile, 64 trials 22 rows
+    monkeypatch.setattr(simulate, "_threads", lambda: 3)
+    G = _balanced([1000, 1000], 15)
+    assert _mc_run_peak(G, 1, 8192) - _mc_run_peak(G, 1, 64) < 4 * 2**20
+
+
+def test_mc_run_memory_does_not_grow_with_steps():
+    # a (t + 1) x trials array of int64 white counts would take 131 MB
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, -1)])
+    assert _mc_run_peak(G, 2_000, 8192) < 4 * 2**20
+
+
 def test_mc_polarize_memory_does_not_grow_with_trials():
     # one batch runs to absorption before the next starts, so a fourfold
     # trial count reuses the same two color arrays
@@ -252,6 +275,21 @@ def test_mc_rejects_out_of_range_seeds_and_horizon(run, message):
     G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
     with pytest.raises(ValueError, match=message):
         run(G)
+
+
+@pytest.mark.parametrize("run", [
+    lambda G, p: sv.mc_run(G, [0], t=5, trials=3, rng_seed=0, partition=p),
+    lambda G, p: sv.mc_polarize(G, p, [0], trials=3, rng_seed=0),
+], ids=["mc_run", "mc_polarize"])
+def test_mc_rejects_a_partition_of_the_wrong_length_before_any_step(monkeypatch, run):
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(simulate._Stepper, "_run", no_step)
+    with pytest.raises(ValueError, match=r"^partition must have n = 3 entries, got 2$"):
+        run(G, np.ones(2, dtype=bool))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -323,6 +361,30 @@ def test_threaded_step_under_fast_thread_switching(monkeypatch):
     for step in got:
         assert np.array_equal(step, reference_step_batch(G, tables, colors, oracle_rng))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_tile_runner_under_fast_thread_switching(monkeypatch):
+    # five workers on tiles of one row add into the same sums of two steps
+    # while the interpreter switches threads as often as it allows; a lost
+    # update would change a statistic of the one-thread run
+    G = _golden_graph("weighted")
+    in_s = sv.classify_balance(np.arange(G.n), G).in_s
+    monkeypatch.setattr(simulate, "_BLOCK", G.n)
+
+    def run(threads):
+        monkeypatch.setattr(simulate, "_threads", lambda: threads)
+        stats = sv.mc_run(G, [0, 3, 7], t=1, trials=3000, rng_seed=9, track_nodes=True,
+                          partition=in_s)
+        return (_digest(stats.mean, stats.stderr, stats.node_freq), stats.s_white, stats.s_black)
+
+    want = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run(5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
