@@ -28,7 +28,10 @@ def _validated(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != n:
         raise ValueError(f"distribution of length {x.shape[0]} against n={n}")
-    if x.size and (x.min() < -_CLAMP_SLACK or x.max() > 1.0 + _CLAMP_SLACK):
+    # written so that a NaN, which fails every comparison, fails the test
+    if x.size and not (x.min() >= -_CLAMP_SLACK and x.max() <= 1.0 + _CLAMP_SLACK):
+        if not np.isfinite(x).all():
+            raise ValueError("color distribution entries must be finite")
         raise ValueError("color distribution entries outside [0, 1]")
     return np.clip(x, 0.0, 1.0)
 

@@ -401,8 +401,11 @@ def graphs_equal(a: SignedDigraph, b: SignedDigraph) -> bool:
 def indicator(n: int, seeds) -> np.ndarray:
     """White-probability vector that is 1 on `seeds` and 0 elsewhere."""
     x = np.zeros(n)
-    seeds = np.asarray(list(seeds), dtype=np.int64)
+    seeds = np.asarray(list(seeds))
     if seeds.size:
+        # a cast to int64 would truncate 1.5 to node 1; bools are not ids either
+        if not np.issubdtype(seeds.dtype, np.integer):
+            raise ValueError(f"seed ids must be integers, got dtype {seeds.dtype}")
         if seeds.min() < 0 or seeds.max() >= n:
             raise ValueError("seed id out of range")
         x[seeds] = 1.0

@@ -13,15 +13,17 @@ step can start from a copy of the batch generator advanced to its first
 draw (_seek), and results do not depend on how rows are split among the
 up to _threads() worker threads.  mc_run is tile-major: each worker runs
 its own row tiles, at most one block of node-updates each, through all t
-steps and counts them as it goes, so it holds two tile arrays and one
-block of scratch per worker, whatever the number of trials and n.
+steps, counts them into sums of its own as it goes and returns the sums
+when it is joined.  A worker owns its scratch, its two tile arrays and its
+sums, so memory does not grow with the number of trials, and workers share
+only read-only inputs.  With track_nodes, each worker's sums include one
+(t + 1) x n count array, at most _MAX_THREADS of them.
 mc_polarize is step-major, stepping a whole batch at a time in two color
 arrays of the batch: it drops absorbed rows after each step, so where a
 row draws from depends on how many rows earlier steps dropped.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -195,20 +197,21 @@ class _Stepper:
         return out
 
     def walk(self, rng: np.random.Generator, size: int, initial: np.ndarray, t: int,
-             count, finish) -> None:
+             track_nodes: bool, in_s) -> list:
         """Run `size` trials from the `initial` colors through t steps, tile
         by tile, drawing what stepping all of them at once with `rng`, a
-        PCG64 generator, would draw.
+        PCG64 generator, would draw, and return each worker's sums.
 
         Tiles hold min(one block, ceil(size / threads)) rows, so a batch of
         fewer blocks than threads still uses every thread.  Worker w runs
         tiles w, w + workers, ... each through all t steps in two tile
         arrays of its own.  At step k, the tile of rows a:b draws from `rng`
         moved past k - 1 whole steps and a rows, where the step of all
-        `size` rows draws them.  After step k (k = 0: the start state) the
-        worker calls count(k, colors) on the tile, and after step t
-        finish(colors, spare), with a spare array of the tile's shape; both
-        run on worker threads.
+        `size` rows draws them.  A worker's sums are its rows' white counts
+        per step (k = 0: the start state) and their squares, as Python ints;
+        per step and node, its white counts when `track_nodes` is set, in
+        one (t + 1) x n array; and, when `in_s` is given, how many of its
+        rows end exactly S white and exactly S black.
         """
         rows = min(self.rows, -(-size // self.threads))
         tiles = range(0, size, rows)
@@ -216,25 +219,37 @@ class _Stepper:
         scratch = self._buffers(workers)
         start = rng.bit_generator.state
 
-        def run(w: int) -> None:
+        def run(w: int) -> tuple:
             buf = scratch[w]
             jumped = np.random.Generator(np.random.PCG64())
             pair = np.empty((2, rows, self.n), dtype=bool)
+            white, squares = [0] * (t + 1), [0] * (t + 1)
+            nodes = np.zeros((t + 1, self.n), dtype=np.int64) if track_nodes else None
+            s_white = s_black = 0
             for a in tiles[w::workers]:
                 colors, spare = pair[:, :min(rows, size - a)]
                 colors[:] = initial
-                count(0, colors)
-                for k in range(1, t + 1):
-                    _seek(jumped.bit_generator, start, (k - 1) * size + a, self.n)
-                    self._run(buf, colors, jumped, spare)
-                    colors, spare = spare, colors
-                    count(k, colors)
-                finish(colors, spare)
+                for k in range(t + 1):
+                    if k:
+                        _seek(jumped.bit_generator, start, (k - 1) * size + a, self.n)
+                        self._run(buf, colors, jumped, spare)
+                        colors, spare = spare, colors
+                    # int64 on every platform: w @ w reaches rows * n**2,
+                    # past 2**31 on one block of a 9,500-node graph
+                    w_k = colors.sum(axis=1, dtype=np.int64)
+                    white[k] += int(w_k.sum())
+                    squares[k] += int(w_k @ w_k)
+                    if nodes is not None:
+                        nodes[k] += colors.sum(axis=0)
+                if in_s is not None:
+                    hit_white, hit_black = _polarized(colors, in_s, spare)
+                    s_white += int(hit_white.sum())
+                    s_black += int(hit_black.sum())
+            return white, squares, nodes, s_white, s_black
 
         jobs = [self.pool.submit(run, w) for w in range(1, workers)]
-        run(0)
-        for job in jobs:
-            job.result()  # on a failure, __exit__ waits for the other workers
+        # on a failure, __exit__ waits for the other workers
+        return [run(0)] + [job.result() for job in jobs]
 
     def _run(self, buf: _Scratch, colors: np.ndarray, rng: np.random.Generator,
              out: np.ndarray) -> None:
@@ -343,46 +358,6 @@ def _polarized(colors: np.ndarray, in_s: np.ndarray, scratch: np.ndarray):
     return mism == 0, mism == colors.shape[1]
 
 
-class _Tally:
-    """mc_run's sums, added to from every worker thread.  A batch's white
-    counts per step and their squares are summed exactly, as Python ints,
-    and added to the float64 totals when the batch ends."""
-
-    def __init__(self, t: int, n: int, track_nodes: bool, in_s):
-        self.lock = threading.Lock()
-        self.sum_w, self.sum_w2 = np.zeros(t + 1), np.zeros(t + 1)
-        self.w, self.w2 = [0] * (t + 1), [0] * (t + 1)
-        self.node_sum = np.zeros((t + 1, n)) if track_nodes else None
-        self.in_s = in_s
-        self.s_white = self.s_black = 0
-
-    def count(self, k: int, colors: np.ndarray) -> None:
-        w = colors.sum(axis=1)
-        # exact in int64: a tile holds at most max(_BLOCK, n) colors, so
-        # w @ w <= max(_BLOCK, n) * n
-        total, squares = int(w.sum()), int(w @ w)
-        nodes = None if self.node_sum is None else colors.sum(axis=0)
-        with self.lock:
-            self.w[k] += total
-            self.w2[k] += squares
-            if nodes is not None:
-                # float64 sums of integer counts up to trials are exact in any order
-                self.node_sum[k] += nodes
-
-    def finish(self, colors: np.ndarray, spare: np.ndarray) -> None:
-        if self.in_s is None:
-            return
-        hit_white, hit_black = _polarized(colors, self.in_s, spare)
-        with self.lock:
-            self.s_white += int(hit_white.sum())
-            self.s_black += int(hit_black.sum())
-
-    def end_batch(self) -> None:
-        self.sum_w += np.array(self.w, dtype=np.float64)
-        self.sum_w2 += np.array(self.w2, dtype=np.float64)
-        self.w, self.w2 = [0] * len(self.w), [0] * len(self.w2)
-
-
 def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
            track_nodes: bool = False, partition=None) -> SimStats:
     """Run `trials` independent t-step trajectories from white-on-seeds.
@@ -401,23 +376,31 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
     in_s = None if partition is None else _partition_mask(G, partition)
     streams = _streams(trials, rng_seed)
     initial = indicator(G.n, seeds) > 0
-    tally = _Tally(t, G.n, track_nodes, in_s)
+    sum_w, sum_w2 = np.zeros(t + 1), np.zeros(t + 1)
+    node_sum = np.zeros((t + 1, G.n), dtype=np.int64) if track_nodes else None
+    s_white = s_black = 0
     with _Stepper(G, build_alias_tables(G)) as step:
         for size, rng in streams:
-            step.walk(rng, size, initial, t, tally.count, tally.finish)
-            tally.end_batch()
+            white, squares, nodes, hits_white, hits_black = zip(
+                *step.walk(rng, size, initial, t, track_nodes, in_s))
+            # per step, the workers' exact ints first, then one float64 conversion
+            sum_w += np.array([sum(at_k) for at_k in zip(*white)], dtype=np.float64)
+            sum_w2 += np.array([sum(at_k) for at_k in zip(*squares)], dtype=np.float64)
+            if track_nodes:
+                node_sum += sum(nodes)
+            s_white += sum(hits_white)
+            s_black += sum(hits_black)
 
-    sum_w, sum_w2 = tally.sum_w, tally.sum_w2
     mean = sum_w / trials
     if trials > 1:
         var = np.maximum(sum_w2 - sum_w**2 / trials, 0.0) / (trials - 1)
         stderr = np.sqrt(var / trials)
     else:
         stderr = np.zeros(t + 1)
-    freq = tally.node_sum / trials if track_nodes else None
+    freq = node_sum / trials if track_nodes else None
     return SimStats(t, trials, rng_seed, mean, stderr, freq,
-                    tally.s_white if in_s is not None else None,
-                    tally.s_black if in_s is not None else None)
+                    s_white if in_s is not None else None,
+                    s_black if in_s is not None else None)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
+from signedvoter import dynamics
 from signedvoter.errors import PeriodicComponent, SlowMixing, WrongKind
 from signedvoter.structure import BalanceKind
 
@@ -297,3 +298,24 @@ def test_matrix_power_series_limits():
         assert norms[-1] <= 1e-6 * peak + 1e-12
         tail = norms[norms.index(peak):]
         assert all(b <= a + 1e-12 * peak for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda G, x: sv.step(G, x),
+    lambda G, x: sv.propagate(G, x, 0),
+    lambda G, x: sv.propagate(G, x, 2),
+    lambda G, x: sv.propagate_limit(G, x),
+    lambda G, x: sv.steady_state(G, x),
+], ids=["step", "propagate-t0", "propagate-t2", "propagate_limit", "steady_state"])
+def test_non_finite_distributions_are_rejected_before_any_step(monkeypatch, call, bad):
+    # a NaN fails every comparison, so a range test of the form x < lo or
+    # x > hi would let it through
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 0, 1)])
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(dynamics, "apply_p", no_step)
+    with pytest.raises(ValueError, match="^color distribution entries must be finite$"):
+        call(G, np.array([0.5, bad, 0.0]))

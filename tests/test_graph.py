@@ -290,3 +290,21 @@ def test_parse_snap_memory_peak_on_a_canonical_file():
         tracemalloc.stop()
     assert parsed.graph.n_edges == 100_000
     assert peak < 10 * len(text), peak
+
+
+@pytest.mark.parametrize("seeds", [[1.5], [1.0], np.array([2.0]), [True], np.array([False, True]),
+                                   [0, 2.5]],
+                         ids=["1.5", "1.0", "float-array", "bool", "bool-array", "mixed"])
+def test_indicator_rejects_ids_that_are_not_integers(seeds):
+    # a cast to int64 would mark node 1 for 1.5, and node 1 for True
+    with pytest.raises(ValueError, match="^seed ids must be integers, got dtype "):
+        sv.indicator(5, seeds)
+
+
+@pytest.mark.parametrize("seeds", [[1, 3], range(1, 4, 2), iter([3, 1]),
+                                   np.array([1, 3], dtype=np.int32),
+                                   np.array([1, 3], dtype=np.uint8)],
+                         ids=["list", "range", "iterator", "int32", "uint8"])
+def test_indicator_takes_integer_ids_in_any_container(seeds):
+    assert np.flatnonzero(sv.indicator(5, seeds)).tolist() == [1, 3]
+    assert not sv.indicator(5, []).any()  # an empty list reads as float64, and is valid

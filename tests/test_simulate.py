@@ -277,6 +277,18 @@ def test_mc_rejects_out_of_range_seeds_and_horizon(run, message):
         run(G)
 
 
+def test_mc_run_rejects_seed_ids_that_are_not_integers_before_any_step(monkeypatch):
+    # a cast to int64 would seed node 0 for 0.7
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(simulate._Stepper, "_run", no_step)
+    with pytest.raises(ValueError, match="^seed ids must be integers, got dtype float64$"):
+        sv.mc_run(G, [0.7], t=5, trials=3, rng_seed=0)
+
+
 @pytest.mark.parametrize("run", [
     lambda G, p: sv.mc_run(G, [0], t=5, trials=3, rng_seed=0, partition=p),
     lambda G, p: sv.mc_polarize(G, p, [0], trials=3, rng_seed=0),
@@ -385,6 +397,30 @@ def test_tile_runner_under_fast_thread_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def test_row_counts_stay_exact_where_a_tile_passes_int32(monkeypatch):
+    # about 14,400 of 16,000 nodes white: a default tile of 16 rows has
+    # w @ w near 3.3e9, past 2**31, while a one-row tile stays near 2.1e8;
+    # NumPy < 2 on Windows sums booleans in int32 unless told otherwise
+    G = random_graph(np.random.default_rng(31), 16_000, neg_prob=0.0)
+    seeds = np.flatnonzero(np.arange(G.n) % 10)
+    monkeypatch.setattr(simulate, "_threads", lambda: 1)
+
+    def run(block):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        return sv.mc_run(G, seeds, t=1, trials=32, rng_seed=5)
+
+    rows = simulate._BLOCK // G.n
+    tiles, one_row = run(simulate._BLOCK), run(G.n)
+    # premises, read from the one-row run: some default tile's mean white
+    # count is at least the overall mean, so its w @ w is at least
+    # rows * mean**2; and rows differ, so a wrapped sum of squares is not
+    # merely clamped to a variance of 0
+    assert rows * one_row.mean[1] ** 2 > 2**31
+    assert one_row.stderr[1] > 0
+    assert tiles.mean.tobytes() == one_row.mean.tobytes()
+    assert tiles.stderr.tobytes() == one_row.stderr.tobytes()
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
