@@ -42,7 +42,11 @@ def step(G: SignedDigraph, x) -> np.ndarray:
     Each entry is a convex combination of v and 1-v values, so the result
     stays in [0, 1] up to roundoff; it is asserted and clamped.
     """
-    x = _validated(x, G.n)
+    return _step(G, _validated(x, G.n))
+
+
+def _step(G: SignedDigraph, x: np.ndarray) -> np.ndarray:
+    """`step` on a validated float64 x: its own rows need no second check."""
     g = G.ground if x.ndim == 1 else G.ground[:, None]
     y = apply_p(G, x) + g
     lo, hi = y.min(), y.max()
@@ -59,7 +63,7 @@ def propagate(G: SignedDigraph, x0, t: int) -> np.ndarray:
     out = np.empty((t + 1,) + x0.shape)
     out[0] = x0
     for k in range(t):
-        out[k + 1] = step(G, out[k])
+        out[k + 1] = _step(G, out[k])
     return out
 
 
@@ -72,11 +76,11 @@ def propagate_limit(G: SignedDigraph, x0, tol: float = 1e-9, max_steps: int = 10
     columns of shape (n, k); the convergence test is then over all columns.
     """
     even = _validated(np.asarray(x0, dtype=np.float64), G.n)
-    odd = step(G, even)
+    odd = _step(G, even)
     steps = 1
     while steps < max_steps:
-        nxt_even = step(G, odd)
-        nxt_odd = step(G, nxt_even)
+        nxt_even = _step(G, odd)
+        nxt_odd = _step(G, nxt_even)
         steps += 2
         delta = max(np.abs(nxt_even - even).max(), np.abs(nxt_odd - odd).max())
         even, odd = nxt_even, nxt_odd

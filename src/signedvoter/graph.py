@@ -220,9 +220,6 @@ def parse_snap(text: str, repair_dangling: bool = False) -> ParsedSnap:
                       graph.n_edges - repaired, graph.n_negative)
 
 
-_WIDTH = 18  # the most digits of a field parsed as bytes: 10**18 - 1 < 2**63
-_EDGE_BYTES = np.zeros(256, dtype=bool)  # what an edge line may hold
-_EDGE_BYTES[list(b"0123456789- \t\r\n")] = True
 _COMMENT_BYTES = np.zeros(256, dtype=bool)  # printable ASCII, tab, and the \r of a \r\n
 _COMMENT_BYTES[list(range(0x20, 0x7F)) + list(b"\t\r")] = True
 
@@ -234,70 +231,60 @@ def _plain_fields(text: str):
     A plain text, encoded as UTF-8, holds only digits, `-`, space, tab, `\n`
     and `\r` directly before `\n`, outside comment lines that start with `#`
     in column 0 and hold printable ASCII.  Each non-blank line has three
-    fields of an optional leading `-` and 1-18 digits, and no sign is zero.
-    The comments are blanked and the field bounds found where the bytes
-    change between blank and not; each column of fields is then converted
-    in one gather of its last L bytes and a Horner loop over those L digits.
-    Any text this rejects, `_checked_fields` reads line by line.
+    fields of an optional leading `-` and digits, each of magnitude below
+    10**18, and no sign is zero.  The comments are blanked, the fields of
+    each line counted from the bytes where a field starts, and every field
+    read by NumPy's C text reader in one call.  Any text this rejects,
+    `_checked_fields` reads line by line.
     """
     raw = text.encode("utf-8", "surrogatepass")
-    # blank room before the text for a field's window, and a final newline
-    buf = np.empty(_WIDTH + len(raw) + 1, dtype=np.uint8)
-    buf[:_WIDTH], buf[-1] = ord(" "), ord("\n")
-    buf[_WIDTH:-1] = np.frombuffer(raw, dtype=np.uint8)
+    # a blank before the text, so every field starts after a blank, and a final newline
+    buf = np.empty(len(raw) + 2, dtype=np.uint8)
+    buf[0], buf[-1] = ord(" "), ord("\n")
+    buf[1:-1] = np.frombuffer(raw, dtype=np.uint8)
     del raw
     cr = np.flatnonzero(buf == ord("\r"))
     if np.any(buf[cr + 1] != ord("\n")):  # in range: the last byte is a \n
         return None
     newline = np.flatnonzero(buf == ord("\n"))
-    line_start = np.concatenate(([_WIDTH], newline[:-1] + 1))
-    comment = line_start[buf[line_start] == ord("#")]
-    del line_start
+    before = np.concatenate(([0], newline[:-1]))  # the byte before each line
+    comment = before[buf[before + 1] == ord("#")] + 1
     if comment.size:  # each comment's bytes up to its \n, found in time linear in them
         length = newline[np.searchsorted(newline, comment)] - comment
         in_comment = _ranges(comment, length)
         if not np.all(_COMMENT_BYTES[buf[in_comment]]):
             return None
         buf[in_comment] = ord(" ")
-    if not np.all(_EDGE_BYTES[buf]):
+    del newline, comment
+    blanked = buf.tobytes()  # what bytes.translate and np.fromstring read
+    buf = np.frombuffer(blanked, dtype=np.uint8)  # a view, so one copy of the text stays
+    if blanked.translate(None, b"0123456789- \t\r\n"):
         return None
-    # the bytes up to a space are now the blanks; the text starts and ends
-    # blank, so the changes alternate: a field's first byte, the byte after
-    # it, the next field's first byte, ...
-    bounds = np.flatnonzero(np.diff((buf <= ord(" ")).view(np.int8)))
-    bounds += 1
-    per_line = np.diff(np.searchsorted(bounds, newline, "right"), prepend=0)  # two per field
-    del newline
-    if not bounds.size or np.any((per_line != 0) & (per_line != 6)):
+    minus = np.flatnonzero(buf == ord("-"))  # in range: the text starts and ends blank
+    if np.any(buf[minus - 1] > ord(" ")) or np.any(buf[minus + 1] < ord("0")):
+        return None  # a - that does not start a field, or is not followed by a digit
+    solid = buf > ord(" ")
+    first = solid[1:] > solid[:-1]  # first[i]: a field starts at byte i + 1
+    del solid
+    fields = np.count_nonzero(first)
+    # field starts per line; a line of 256 or more wraps in uint8, so the total is checked too
+    per_line = np.add.reduceat(first.view(np.uint8), before, dtype=np.uint8)
+    del first, before
+    lines = np.count_nonzero(per_line)
+    if not fields or 3 * lines != fields or np.count_nonzero(per_line == 3) != lines:
         return None
-    if np.count_nonzero(buf == ord("-")) != np.count_nonzero(buf[bounds[::2]] == ord("-")):
-        return None  # a - after a field's first byte
-    fields = [_field_values(buf, bounds[c::6], bounds[c + 1::6]) for c in (0, 2, 4)]
-    if any(f is None for f in fields) or not np.all(fields[2]):
+    values = np.fromstring(blanked, dtype=np.int64, sep=" ")
+    # 19 or more significant digits, or past int64, which the reader clamps, are not plain
+    if values.size != fields or values.min() <= -10**18 or values.max() >= 10**18:
+        return None
+    if not np.all(values[2::3]):
         return None  # a zero sign is reported, with its line, by `_checked_fields`
-    return fields
+    return tuple(values[c::3].copy() for c in range(3))  # contiguous: the graph keeps dst
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The index ranges start[i] : start[i] + count[i], concatenated."""
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-
-
-def _field_values(buf, start, stop):
-    """The int64 values of the fields buf[start:stop], or None unless each
-    is an optional leading - and 1-18 digits."""
-    minus = buf[start] == ord("-")
-    digits = stop - start
-    digits -= minus
-    width = int(digits.max())
-    if digits.min() < 1 or width > _WIDTH:
-        return None
-    window = np.lib.stride_tricks.sliding_window_view(buf, width)[stop - width]
-    value = np.zeros(stop.size, dtype=np.int64)
-    for j in range(width):  # byte j of the window is a digit where the field has width - j
-        value *= 10
-        value += np.where(digits >= width - j, window[:, j] - ord("0"), 0)
-    return np.negative(value, out=value, where=minus)
 
 
 def _checked_fields(text: str) -> tuple:

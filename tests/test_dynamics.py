@@ -319,3 +319,30 @@ def test_non_finite_distributions_are_rejected_before_any_step(monkeypatch, call
     monkeypatch.setattr(dynamics, "apply_p", no_step)
     with pytest.raises(ValueError, match="^color distribution entries must be finite$"):
         call(G, np.array([0.5, bad, 0.0]))
+
+
+def test_propagate_validates_its_input_once(monkeypatch):
+    """propagate and propagate_limit check x0, then step through rows they
+    clipped themselves; the trajectory is the public step's, bit for bit."""
+    rng = np.random.default_rng(11)
+    G = random_graph(rng, 40)
+    x0 = rng.random((40, 3))
+    want = [x0.copy()]
+    for _ in range(30):
+        want.append(sv.step(G, want[-1]))
+    even, odd = want[0], sv.step(G, want[0])
+    while True:
+        nxt_even = sv.step(G, odd)
+        nxt_odd = sv.step(G, nxt_even)
+        delta = max(np.abs(nxt_even - even).max(), np.abs(nxt_odd - odd).max())
+        even, odd = nxt_even, nxt_odd
+        if delta <= 1e-9:
+            break
+    calls = []
+    validated = dynamics._validated
+    monkeypatch.setattr(dynamics, "_validated", lambda *a: calls.append(a) or validated(*a))
+    assert np.array_equal(sv.propagate(G, x0, 30), np.stack(want))
+    assert len(calls) == 1
+    got_even, got_odd, _ = sv.propagate_limit(G, x0)
+    assert np.array_equal(got_even, even) and np.array_equal(got_odd, odd)
+    assert len(calls) == 2

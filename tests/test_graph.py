@@ -292,6 +292,38 @@ def test_parse_snap_memory_peak_on_a_canonical_file():
     assert peak < 10 * len(text), peak
 
 
+@pytest.mark.parametrize("fields", [256, 259])
+def test_parse_snap_byte_path_counts_long_lines_exactly(fields):
+    """Per-line field counts are summed in uint8, where 256 wraps to 0 and
+    259 to 3; such a line is still not read as an edge line."""
+    # no zero anywhere, so a misread line could not fail on a zero sign instead
+    text = "1 2 1\n" + " ".join(["3"] * fields) + "\n2 1 -1\n"
+    assert _plain_fields(text) is None
+    for repair in (False, True):
+        assert_parses_like_reference(text, repair)
+    with pytest.raises(MalformedLine, match="^line 2: expected 'src dst sign'"):
+        sv.parse_snap(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0 1 1\n1 -99999999999999999999 1\n", 2),  # the C reader clamps this to 2**63 - 1
+    ("0 1 1\n1 0 9223372036854775808\n", 2),
+    ("-9223372036854775809 0 1\n0 1 1\n", 1),
+])
+def test_parse_snap_byte_path_hands_on_fields_the_reader_clamps(text, line):
+    assert _plain_fields(text) is None
+    with pytest.raises(MalformedLine, match=f"^line {line}: field outside the int64 range"):
+        sv.parse_snap(text)
+
+
+def test_parse_snap_byte_path_reads_leading_zeros_in_base_10():
+    text = "0000000000000000000001 0 1\n0 0000000000000000000001 -1\n010 1 1\n1 010 -0001\n"
+    assert _plain_fields(text) is not None
+    for repair in (False, True):
+        assert_parses_like_reference(text, repair)
+    assert sv.parse_snap(text).node_ids.tolist() == [1, 0, 10]
+
+
 @pytest.mark.parametrize("seeds", [[1.5], [1.0], np.array([2.0]), [True], np.array([False, True]),
                                    [0, 2.5]],
                          ids=["1.5", "1.0", "float-array", "bool", "bool-array", "mixed"])
@@ -308,3 +340,13 @@ def test_indicator_rejects_ids_that_are_not_integers(seeds):
 def test_indicator_takes_integer_ids_in_any_container(seeds):
     assert np.flatnonzero(sv.indicator(5, seeds)).tolist() == [1, 3]
     assert not sv.indicator(5, []).any()  # an empty list reads as float64, and is valid
+
+
+def test_parse_snap_graph_owns_contiguous_targets():
+    """A canonical file skips the edge sort, so the parsed dst column becomes
+    the graph's targets: it must not be a strided view that keeps every
+    parsed field alive."""
+    text = sv.serialize(sv.from_edge_list([(0, 1, 1), (0, 2, -1), (1, 0, 1), (2, 1, -1)]))
+    assert _plain_fields(text) is not None
+    targets = sv.parse_snap(text).graph.targets
+    assert targets.flags.c_contiguous and targets.base is None

@@ -313,6 +313,8 @@ def edge_list_texts(draw):
 @example("0 1 1\n1 2 -1\n", False)  # canonical but for a dangling node
 @example("0 1 1\n1 2 -1\n", True)
 @example("0 1000000000000 1\n1000000000000 0 1\n", False)  # no bincount of 10**12 ids
+@example("1 2 1\n" + " ".join(["3"] * 259) + "\n2 1 1\n", False)  # 259 fields: 3 in uint8
+@example("0000000000000000000001 0 1\n0 1 -1\n", False)  # 22 digits, all but one leading zeros
 def test_parse_snap_matches_reference_parser(text, repair):
     got = _parse_outcome(sv.parse_snap, text, repair)
     want = _parse_outcome(reference_parse_snap, text, repair)
