@@ -18,12 +18,13 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dynamics import propagate, step, steady_state
+from .dynamics import _trajectory, propagate, steady_state
 from .errors import GraphDataError, NumericFailure, SignedVoterError, SlowMixing
 from .generate import generate, parse_generator_config
 from .graph import SignedDigraph, indicator, parse_snap, serialize
@@ -260,34 +261,25 @@ def _cmd_dynamics(args, out: Path) -> None:
     # first: a periodic sink fails here, not after the adaptive loop's cap
     steady = _steady_record(G, x0)
 
+    header = ["step", "total_white_expectation"]
     if args.t is not None:
         traj = propagate(G, x0, args.t)
         totals = traj.sum(axis=1)
-        rows = []
-        for k in range(args.t + 1):
-            row = [k, _fmt(totals[k])]
-            if args.per_node:
-                row.extend(_fmt(v) for v in traj[k])
-            rows.append(row)
-        header = ["step", "total_white_expectation"]
-        if args.per_node:
-            header += [f"x{j}" for j in range(G.n)]
+        width = G.n if args.per_node else 0
+        header += [f"x{j}" for j in range(width)]
+        # a generator: the writer formats and writes one row at a time
+        rows = ([k, _fmt(totals[k]), *map(_fmt, traj[k, :width])] for k in range(args.t + 1))
     else:
         # adaptive horizon: stop once the same-parity change drops below 1e-9
-        rows = [[0, _fmt(x0.sum())]]
-        lag2, lag1 = x0, step(G, x0)
-        rows.append([1, _fmt(lag1.sum())])
-        k = 1
-        while True:
-            nxt = step(G, lag1)
-            k += 1
-            rows.append([k, _fmt(nxt.sum())])
-            if np.abs(nxt - lag2).max() <= 1e-9:
+        rows = []
+        lag2 = lag1 = None
+        for k, x in enumerate(_trajectory(G, x0)):
+            rows.append([k, _fmt(x.sum())])
+            if k >= 2 and np.abs(x - lag2).max() <= 1e-9:
                 break
             if k >= _ADAPTIVE_CAP:
                 raise SlowMixing(f"dynamics: no convergence within {_ADAPTIVE_CAP} steps")
-            lag2, lag1 = lag1, nxt
-        header = ["step", "total_white_expectation"]
+            lag2, lag1 = lag1, x
     _write_csv(out / "trajectory.csv", header, rows)
     _write_json(out / "steady_state.json", steady)
 
@@ -350,22 +342,16 @@ def _cmd_compare(args, out: Path) -> None:
     mc = {}
     for idx, (name, seed_set) in enumerate(methods):
         x0 = indicator(G.n, seed_set.nodes)
-        exact[name] = propagate(G, x0, args.t).sum(axis=1)
+        exact[name] = [x.sum() for x in islice(_trajectory(G, x0), args.t + 1)]
         steady_influence[name] = float(steady_state(G, x0).average.sum())
         if args.trials > 0:
             mc[name] = mc_run(G, seed_set.nodes, args.t, args.trials, args.rng_seed + idx)
 
-    header = ["step"] + [f"{n}_exact" for n, _ in methods]
-    if mc:
-        for name, _ in methods:
-            header += [f"{name}_mc_mean", f"{name}_mc_stderr"]
-    rows = []
-    for k in range(args.t + 1):
-        row = [k] + [_fmt(exact[name][k]) for name, _ in methods]
-        if mc:
-            for name, _ in methods:
-                row += [_fmt(mc[name].mean[k]), _fmt(mc[name].stderr[k])]
-        rows.append(row)
+    header = ["step"] + [f"{n}_exact" for n in exact]
+    header += [f"{name}_mc_{stat}" for name in mc for stat in ("mean", "stderr")]
+    rows = [[k] + [_fmt(exact[name][k]) for name in exact]
+            + [_fmt(v) for name in mc for v in (mc[name].mean[k], mc[name].stderr[k])]
+            for k in range(args.t + 1)]
     _write_csv(out / "compare.csv", header, rows)
     _write_json(out / "summary.json", {
         "objective": args.objective,

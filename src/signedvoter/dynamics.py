@@ -8,6 +8,10 @@ unbalanced sinks forget the initial condition entirely and settle at 1/2.
 Non-sink nodes sit at 1/2 plus one coupling term per balanced/anti-balanced
 sink, transmitted through u = (I_X -/+ P_X)^-1 P_Y s, where s is the signed
 partition indicator of that sink.
+
+Every exact trajectory steps through one iterator that validates x0 once.
+Only `propagate` holds a whole trajectory, (t+1) x n floats; the limit, the
+CLI's adaptive loop and `compare`, and the short-term objectives keep totals.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,8 @@ _COUPLING_TOL = 1e-12  # change that stops the coupling series
 
 def _validated(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != n:
-        raise ValueError(f"distribution of length {x.shape[0]} against n={n}")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError(f"distribution of shape {x.shape} against n={n}: want (n,) or (n, k)")
     # written so that a NaN, which fails every comparison, fails the test
     if x.size and not (x.min() >= -_CLAMP_SLACK and x.max() <= 1.0 + _CLAMP_SLACK):
         if not np.isfinite(x).all():
@@ -55,15 +59,24 @@ def _step(G: SignedDigraph, x: np.ndarray) -> np.ndarray:
     return np.clip(y, 0.0, 1.0)
 
 
+def _trajectory(G: SignedDigraph, x0):
+    """x0, validated once, then each step of x' = P x + g, without end."""
+    x = _validated(x0, G.n)
+    while True:
+        yield x
+        x = _step(G, x)
+
+
 def propagate(G: SignedDigraph, x0, t: int) -> np.ndarray:
     """Exact trajectory of length t+1; row k is the distribution at step k."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    x0 = _validated(np.asarray(x0, dtype=np.float64), G.n)
-    out = np.empty((t + 1,) + x0.shape)
-    out[0] = x0
-    for k in range(t):
-        out[k + 1] = _step(G, out[k])
+    rows = _trajectory(G, x0)
+    x = next(rows)
+    out = np.empty((t + 1,) + x.shape)
+    out[0] = x
+    for k in range(1, t + 1):
+        out[k] = next(rows)
     return out
 
 
@@ -75,16 +88,12 @@ def propagate_limit(G: SignedDigraph, x0, tol: float = 1e-9, max_steps: int = 10
     cap raises SlowMixing instead of spinning.  Accepts a batch of initial
     columns of shape (n, k); the convergence test is then over all columns.
     """
-    even = _validated(np.asarray(x0, dtype=np.float64), G.n)
-    odd = _step(G, even)
-    steps = 1
-    while steps < max_steps:
-        nxt_even = _step(G, odd)
-        nxt_odd = _step(G, nxt_even)
-        steps += 2
-        delta = max(np.abs(nxt_even - even).max(), np.abs(nxt_odd - odd).max())
-        even, odd = nxt_even, nxt_odd
-        if delta <= tol:
+    rows = _trajectory(G, x0)
+    even, odd = next(rows), next(rows)
+    for steps in range(3, max_steps + 2, 2):
+        last_even, last_odd = even, odd
+        even, odd = next(rows), next(rows)
+        if max(np.abs(even - last_even).max(), np.abs(odd - last_odd).max()) <= tol:
             return even, odd, steps
     raise SlowMixing(f"no same-parity convergence within {max_steps} steps")
 
@@ -174,7 +183,7 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
     graph's cached decomposition; a strictly unbalanced sink's stationary
     law is never computed.
     """
-    x0 = _validated(np.asarray(x0, dtype=np.float64), G.n)
+    x0 = _validated(x0, G.n)
     if x0.ndim != 1:
         raise ValueError("steady_state expects a single distribution")
     decomp = decompose(G)

@@ -331,8 +331,8 @@ def ground_vector(G: SignedDigraph) -> np.ndarray:
 
 def _check_input(G: SignedDigraph, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != G.n:
-        raise ValueError(f"vector of length {v.shape[0]} against graph with n={G.n}")
+    if v.ndim not in (1, 2) or v.shape[0] != G.n:
+        raise ValueError(f"vector of shape {v.shape} against n={G.n}: want (n,) or (n, k)")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite entries")
     return v

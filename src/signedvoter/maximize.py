@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _trajectory,
     oscillation_amplitude,
-    propagate,
     propagate_limit,
     solve_coupling,
     steady_state,
@@ -203,10 +203,9 @@ def heuristic_seeds(G: SignedDigraph, k: int, kind: str, rng_seed: int | None = 
 
 def _objective_totals(G: SignedDigraph, x0: np.ndarray, objective: str, t: int | None):
     """Objective total of each column of x0, by exact propagation."""
-    if objective == "instant":
-        return propagate(G, x0, t)[t].sum(axis=0)
-    if objective == "average":
-        return propagate(G, x0, t).sum(axis=1).mean(axis=0)
+    if objective in ("instant", "average"):  # keeps (t+1) x k column totals, no trajectory
+        totals = np.array([x.sum(axis=0) for x in itertools.islice(_trajectory(G, x0), t + 1)])
+        return totals[t] if objective == "instant" else totals.mean(axis=0)
     if objective == "longterm":
         even, odd, _ = propagate_limit(G, x0)
         return 0.5 * (even + odd).sum(axis=0)

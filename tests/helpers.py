@@ -70,6 +70,15 @@ def random_graph(rng, n, n_edges=None, neg_prob=0.4):
     return sv.from_edge_list(random_edges(rng, n, n_edges, neg_prob))
 
 
+def ring_graph(n, offsets=(1, 2, 3, 7), seed=5):
+    """n nodes, each with unit edges to i + offset (mod n) of random sign: one
+    aperiodic SCC, built from arrays so that large n stays cheap."""
+    src = np.repeat(np.arange(n), len(offsets))
+    dst = (src + np.tile(offsets, n)) % n
+    sign = np.random.default_rng(seed).choice([-1, 1], size=src.size)
+    return sv.from_edge_list(zip(src.tolist(), dst.tolist(), sign.tolist()))
+
+
 def small_family(rng, family, scale=1):
     """One small instance of a generator family with a fresh random seed."""
     seed = int(rng.integers(2**31))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 import signedvoter as sv
 from signedvoter import cli, dynamics, maximize, structure
 from signedvoter.cli import main
+
+from helpers import ring_graph
 
 BAL_CFG = "family = balanced\nsizes = 6, 9\nedges_per_node = 3\nseed = 11\n"
 WC_CFG = "family = weakly_connected\nsizes = 5, 4, 6, 4, 7\nedges_per_node = 2\nseed = 4\n"
@@ -711,3 +714,57 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(invocation):
     assert code in (0, 1, 2, 3), err
     assert err.count("\n") <= 1 and "internal error:" not in err, err
     assert (code == 0) == (err == ""), err
+
+
+def test_dynamics_adaptive_loop_validates_once(wc_graph, tmp_path, monkeypatch):
+    """The adaptive loop steps rows it clipped itself: _validated runs once for the
+    steady state and once for the trajectory, however many rows are written, and
+    the totals are those of stepping with the public step, bit for bit."""
+    G = sv.parse_snap(Path(wc_graph).read_text()).graph
+    want = [sv.indicator(G.n, [0, 5, 9])]
+    want.append(sv.step(G, want[0]))
+    while True:
+        want.append(sv.step(G, want[-1]))
+        if np.abs(want[-1] - want[-3]).max() <= 1e-9:
+            break
+    calls = []
+    validated = dynamics._validated
+    monkeypatch.setattr(dynamics, "_validated", lambda *a: calls.append(a) or validated(*a))
+    out = tmp_path / "ad"
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "0,5,9", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert rows == [[str(k), cli._fmt(x.sum())] for k, x in enumerate(want)]
+    assert len(rows) > 10 and len(calls) == 2
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()  # NumPy reports its array buffers to tracemalloc
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_memory_does_not_grow_with_t(tmp_path):
+    """compare keeps each method's per-step totals, not a (t+1) x n trajectory
+    (200 more steps on 10,000 nodes took 12 MB more)."""
+    graph = tmp_path / "ring.edges"
+    graph.write_text(sv.serialize(ring_graph(10_000)))
+    peaks = [_traced_peak(["compare", "--graph", str(graph), "--k", "20", "--t", str(t),
+                           "--trials", "0", "--out", str(tmp_path / f"c{t}")])
+             for t in (5, 205)]
+    assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+
+def test_dynamics_per_node_memory_grows_by_one_float_row_per_step(tmp_path):
+    """dynamics --t holds the (t+1) x n floats of propagate, but writes its
+    --per-node rows one at a time instead of holding every formatted row
+    (about 70 bytes a value, against 8 for a float)."""
+    n = 2_000
+    graph = tmp_path / "ring.edges"
+    graph.write_text(sv.serialize(ring_graph(n)))
+    peaks = [_traced_peak(["dynamics", "--graph", str(graph), "--seeds", "0,5", "--t", str(t),
+                           "--per-node", "--out", str(tmp_path / f"d{t}")])
+             for t in (5, 105)]
+    assert peaks[1] - peaks[0] < 100 * n * 8 + 2**19, peaks

@@ -346,3 +346,22 @@ def test_propagate_validates_its_input_once(monkeypatch):
     got_even, got_odd, _ = sv.propagate_limit(G, x0)
     assert np.array_equal(got_even, even) and np.array_equal(got_odd, odd)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (2, 1, 3), (1, 2)],
+                         ids=["scalar", "length-3", "n-2-2", "n-1-3", "row"])
+@pytest.mark.parametrize("call", [
+    lambda G, x: sv.step(G, x),
+    lambda G, x: sv.propagate(G, x, 3),
+    lambda G, x: sv.propagate_limit(G, x),
+    lambda G, x: sv.steady_state(G, x),
+    lambda G, x: sv.apply_p(G, x),
+    lambda G, x: sv.apply_p_transpose(G, x),
+], ids=["step", "propagate", "propagate_limit", "steady_state", "apply_p", "apply_p_transpose"])
+def test_only_vectors_and_column_batches_are_distributions(call, shape):
+    """(n,) and (n, k) are the documented shapes; a scalar raised IndexError, and
+    an (n, 2, 2) batch on this 2-edge graph broadcast into a wrong trajectory."""
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, -1)])
+    want = r"^(distribution|vector) of shape .*: want \(n,\) or \(n, k\)$"
+    with pytest.raises(ValueError, match=want):
+        call(G, np.full(shape, 0.5))
