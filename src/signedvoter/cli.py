@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import _trajectory, propagate, steady_state
+from .dynamics import _trajectory, steady_state
 from .errors import GraphDataError, NumericFailure, SignedVoterError, SlowMixing
 from .generate import generate, parse_generator_config
 from .graph import SignedDigraph, indicator, parse_snap, serialize
@@ -190,10 +190,16 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: list, rows):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write to a temporary file that replaces `path` only after the last row."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fmt(x: float) -> str:
@@ -260,28 +266,22 @@ def _cmd_dynamics(args, out: Path) -> None:
         raise UsageError("--per-node requires --t")
     # first: a periodic sink fails here, not after the adaptive loop's cap
     steady = _steady_record(G, x0)
-
-    header = ["step", "total_white_expectation"]
-    if args.t is not None:
-        traj = propagate(G, x0, args.t)
-        totals = traj.sum(axis=1)
-        width = G.n if args.per_node else 0
-        header += [f"x{j}" for j in range(width)]
-        # a generator: the writer formats and writes one row at a time
-        rows = ([k, _fmt(totals[k]), *map(_fmt, traj[k, :width])] for k in range(args.t + 1))
-    else:
-        # adaptive horizon: stop once the same-parity change drops below 1e-9
-        rows = []
-        lag2 = lag1 = None
-        for k, x in enumerate(_trajectory(G, x0)):
-            rows.append([k, _fmt(x.sum())])
-            if k >= 2 and np.abs(x - lag2).max() <= 1e-9:
-                break
-            if k >= _ADAPTIVE_CAP:
-                raise SlowMixing(f"dynamics: no convergence within {_ADAPTIVE_CAP} steps")
-            lag2, lag1 = lag1, x
-    _write_csv(out / "trajectory.csv", header, rows)
+    width = G.n if args.per_node else 0
+    header = ["step", "total_white_expectation"] + [f"x{j}" for j in range(width)]
+    _write_csv(out / "trajectory.csv", header, _trajectory_rows(G, x0, args.t, width))
     _write_json(out / "steady_state.json", steady)
+
+
+def _trajectory_rows(G: SignedDigraph, x0, t, width: int):
+    """Each row as its step is made: through step t, or to the same-parity test."""
+    lag2 = lag1 = None
+    for k, x in enumerate(_trajectory(G, x0)):
+        yield [k, _fmt(x.sum()), *map(_fmt, x[:width])]
+        if k == t or (t is None and k >= 2 and np.abs(x - lag2).max() <= 1e-9):
+            return
+        if t is None and k >= _ADAPTIVE_CAP:
+            raise SlowMixing(f"dynamics: no convergence within {_ADAPTIVE_CAP} steps")
+        lag2, lag1 = lag1, x
 
 
 def _cmd_simulate(args, out: Path) -> None:

@@ -10,8 +10,8 @@ sink, transmitted through u = (I_X -/+ P_X)^-1 P_Y s, where s is the signed
 partition indicator of that sink.
 
 Every exact trajectory steps through one iterator that validates x0 once.
-Only `propagate` holds a whole trajectory, (t+1) x n floats; the limit, the
-CLI's adaptive loop and `compare`, and the short-term objectives keep totals.
+Only public `propagate` holds a whole one, (t+1) x n floats, and nothing in
+the package calls it: the limit, the CLI and the objectives hold a few rows.
 """
 
 from dataclasses import dataclass

@@ -125,7 +125,7 @@ class Decomposition:
     _blocks: dict = field(default_factory=dict, repr=False)
     _analyses: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @cached_property
     def sinks(self) -> list:
         return [self.components[i] for i in self.sink_index]
 

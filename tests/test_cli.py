@@ -16,7 +16,7 @@ import signedvoter as sv
 from signedvoter import cli, dynamics, maximize, structure
 from signedvoter.cli import main
 
-from helpers import ring_graph
+from helpers import random_graph, ring_graph
 
 BAL_CFG = "family = balanced\nsizes = 6, 9\nedges_per_node = 3\nseed = 11\n"
 WC_CFG = "family = weakly_connected\nsizes = 5, 4, 6, 4, 7\nedges_per_node = 2\nseed = 4\n"
@@ -599,10 +599,10 @@ def test_file_that_is_not_utf8_is_a_data_error(wc_graph, tmp_path, capsys, which
 
 
 def test_out_of_memory_is_a_one_line_data_error(wc_graph, tmp_path, capsys, monkeypatch):
-    def exhausted(G, x0, t):
+    def exhausted(G, x0):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "propagate", exhausted)
+    monkeypatch.setattr(cli, "_trajectory", exhausted)
     assert main(["dynamics", "--graph", wc_graph, "--t", "3",
                  "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "data error: out of memory\n"
@@ -768,3 +768,80 @@ def test_dynamics_per_node_memory_grows_by_one_float_row_per_step(tmp_path):
                            "--per-node", "--out", str(tmp_path / f"d{t}")])
              for t in (5, 105)]
     assert peaks[1] - peaks[0] < 100 * n * 8 + 2**19, peaks
+
+
+def test_dynamics_memory_does_not_grow_with_t(tmp_path):
+    """dynamics --t writes each total as its step is made instead of holding the
+    (t+1) x n floats of propagate (400 more steps on 10,000 nodes took 27 MB more)."""
+    graph = tmp_path / "ring.edges"
+    graph.write_text(sv.serialize(ring_graph(10_000)))
+    peaks = [_traced_peak(["dynamics", "--graph", str(graph), "--seeds", "0,5", "--t", str(t),
+                           "--out", str(tmp_path / f"d{t}")])
+             for t in (5, 405)]
+    assert peaks[1] - peaks[0] < 2**20, peaks
+
+
+def test_dynamics_adaptive_memory_does_not_grow_with_its_rows(tmp_path):
+    """The adaptive horizon writes each row as its step is made instead of holding
+    every formatted row (about 170 bytes a row: the 9,869 rows of slow_mixing(10)
+    took 1.2 MB more than the 2,669 of slow_mixing(8))."""
+    peaks, rows = [], []
+    for m in (8, 10):
+        graph = tmp_path / f"slow{m}.edges"
+        graph.write_text(sv.serialize(sv.slow_mixing(m)))
+        out = tmp_path / f"s{m}"
+        peaks.append(_traced_peak(["dynamics", "--graph", str(graph), "--seeds", "0",
+                                   "--out", str(out)]))
+        rows.append(len((out / "trajectory.csv").read_text().splitlines()) - 1)
+    assert rows == [2669, 9869]
+    assert peaks[1] - peaks[0] < 2**19, peaks
+
+
+def test_dynamics_failing_mid_trajectory_leaves_no_file(wc_graph, tmp_path, monkeypatch):
+    """Rows already written go to a temporary file: a run that fails after them
+    leaves neither trajectory.csv nor that file."""
+    slow = tmp_path / "slow.edges"
+    slow.write_text(sv.serialize(sv.slow_mixing(12)))
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_ADAPTIVE_CAP", 50)
+        assert main(["dynamics", "--graph", str(slow), "--seeds", "0",
+                     "--out", str(tmp_path / "cap")]) == 3
+    monkeypatch.setattr(dynamics, "apply_p", lambda G, v: v + 5.0)
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "0", "--t", "2", "--per-node",
+                 "--out", str(tmp_path / "escape")]) == 3
+    for out in ("cap", "escape"):
+        assert list((tmp_path / out).iterdir()) == []
+
+
+def test_dynamics_fixed_horizon_ignores_the_adaptive_cap(wc_graph, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_ADAPTIVE_CAP", 5)
+    out = tmp_path / "t20"
+    assert main(["dynamics", "--graph", wc_graph, "--seeds", "0", "--t", "20",
+                 "--out", str(out)]) == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 21
+
+
+def test_dynamics_rows_are_propagate_bits(tmp_path):
+    """dynamics --t sums each step as it is made: its rows must be _fmt of the rows
+    of propagate and of their sum(axis=1), bit for bit."""
+    rng = np.random.default_rng(24)
+    checked = 0
+    for trial in range(10):
+        n = int(rng.integers(3, 300))
+        G = random_graph(rng, n, n_edges=int(rng.integers(n + 1, 5 * n)))
+        if not sv.is_aperiodic(np.arange(n), G):  # dynamics rejects a periodic sink
+            continue
+        graph = tmp_path / f"g{trial}.edges"
+        graph.write_text(sv.serialize(G))
+        G = sv.parse_snap(graph.read_text()).graph
+        seeds = sorted(rng.choice(n, size=int(rng.integers(0, min(n, 6) + 1)), replace=False))
+        out = tmp_path / f"d{trial}"
+        assert main(["dynamics", "--graph", str(graph), "--seeds", ",".join(map(str, seeds)),
+                     "--t", "25", "--per-node", "--out", str(out)]) == 0
+        traj = sv.propagate(G, sv.indicator(n, seeds), 25)
+        want = [[str(k), cli._fmt(total), *map(cli._fmt, row)]
+                for k, (total, row) in enumerate(zip(traj.sum(axis=1), traj))]
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",") for row in rows] == want
+        checked += 1
+    assert checked >= 8

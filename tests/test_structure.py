@@ -31,6 +31,14 @@ def test_decompose_weakly_connected_family():
     assert d.non_sink.tolist() == list(range(5))
 
 
+def test_sinks_are_built_once():
+    """py(i) and pz(i) read d.sinks on every call: a list rebuilt on each access
+    made every long-term routine quadratic in the number of sinks."""
+    d = sv.decompose(sv.generate(sv.GeneratorConfig("weakly_connected", [5, 4, 5, 4, 6],
+                                                    edges_per_node=2, seed=1)))
+    assert d.sinks is d.sinks
+
+
 def test_decompose_chain_brute_force_reachability():
     # hand-built condensation: 0,1 -> sink {2,3}; singleton sink {4}
     edges = [(0, 1, 1), (1, 0, 1), (1, 2, -1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (4, 4, 1)]
