@@ -3,11 +3,12 @@
 `decompose` runs once per graph and is cached on it.  Its `analysis(i)` is
 the one place that asks whether component i is aperiodic and balanced,
 anti-balanced or strictly unbalanced; `classify`, `generate` and the
-long-term routines all read it.  The checks test a node set against the
-cached decomposition in O(k); aperiodicity takes one forward BFS, both
-balance tests one parity BFS, and the stationary law none.  They and every
-block of P read edges through `_restrict`, which touches only the CSR rows
-of the node set.
+long-term routines all read it.  Both questions read one directed BFS from
+the component's smallest node, which `analysis(i)` runs once and hands to
+both checks; called on their own, the checks test a node set against the
+cached decomposition in O(k) and run that BFS themselves.  The stationary
+law needs no BFS.  The checks and every block of P read edges through
+`_restrict`, which touches only the CSR rows of the node set.
 """
 
 import math
@@ -137,10 +138,11 @@ class Decomposition:
         """Aperiodicity and balance class of component i, computed on first use."""
         if i not in self._analyses:
             comp = self.components[i]
-            aperiodic = is_aperiodic(comp, self.graph)
+            bfs = _walk(self.graph, comp, *_restrict(self.graph, comp, comp))
+            aperiodic = is_aperiodic(comp, self.graph, _bfs=bfs)
             bal = None
             if aperiodic:
-                bal = classify_balance(comp, self.graph)
+                bal = classify_balance(comp, self.graph, _bfs=bfs)
                 for a in (bal.nodes, bal.in_s):
                     if a is not None:
                         a.setflags(write=False)
@@ -178,7 +180,7 @@ class Decomposition:
 
 
 def decompose(G: SignedDigraph) -> Decomposition:
-    """Iterative Tarjan condensation on Python lists, numbered by smallest node.
+    """Iterative Tarjan condensation on Python ints, numbered by smallest node.
 
     A work stack of (node, next edge) pairs replaces recursion; a node's pair
     goes back on it only when the scan of its out-edges descends.  The graph
@@ -188,7 +190,8 @@ def decompose(G: SignedDigraph) -> Decomposition:
     if G._decomposition is not None:
         return G._decomposition
     n = G.n
-    indptr, targets = G.indptr.tolist(), G.targets.tolist()
+    # a memoryview item is a Python int, like a list item, without the list's copy
+    indptr, targets = memoryview(G.indptr), memoryview(G.targets)
     index, low, on_stack, comp_of = [-1] * n, [0] * n, [False] * n, [0] * n
     stack: list[int] = []
     counter = n_comps = 0
@@ -269,29 +272,32 @@ def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray,
     """Hop distance from local node 0 along edges src -> dst (-1 where
     unreached), and the xor of `bit` along each node's BFS-tree path.
 
-    Level-synchronous: each step expands the whole frontier at once through
-    a local CSR of the edges.  Any edge into a new node may become its tree
-    edge, so the xor is only meaningful where every path agrees.
+    `src` must be ascending, as `_restrict` returns it, so the edges already
+    form a local CSR.  Level-synchronous: each step expands the whole
+    frontier at once.  Every edge into a new node writes its index into the
+    node's claim slot and the one that stays becomes the tree edge, so each
+    node joins the next frontier once; the xor is therefore only meaningful
+    where every path agrees.
     """
-    order = np.argsort(src, kind="stable")
-    adj, adj_bit = dst[order], bit[order]
     indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
     level = np.full(k, -1, dtype=np.int64)
     level[0] = 0
     parity = np.zeros(k, dtype=bool)
+    claim = np.empty(k, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     depth = 0
     while frontier.size:
         depth += 1
         start = indptr[frontier]
-        count = indptr[frontier + 1] - start
-        pos = _ranges(start, count)
-        reached = adj[pos]
-        new = level[reached] < 0
-        parity[reached[new]] = (np.repeat(parity[frontier], count) ^ adj_bit[pos])[new]
-        frontier = np.unique(reached[new])
+        pos = _ranges(start, indptr[frontier + 1] - start)
+        pos = pos[level[dst[pos]] < 0]
+        reached = dst[pos]
+        claim[reached] = np.arange(pos.size)
+        pos = pos[claim[reached] == np.arange(pos.size)]
+        frontier = dst[pos]
         level[frontier] = depth
+        parity[frontier] = parity[src[pos]] ^ bit[pos]
     return level, parity
 
 
@@ -308,30 +314,40 @@ def _component(G: SignedDigraph, nodes, what: str):
     return (nodes, *_restrict(G, nodes, nodes))
 
 
-def is_aperiodic(nodes, G: SignedDigraph) -> bool:
+def _walk(G: SignedDigraph, nodes, src, dst, eid) -> tuple:
+    """(nodes, src, dst, neg, level, parity): an SCC's internal edges and the
+    one directed BFS from its smallest node that both component checks read."""
+    neg = G.signs[eid] < 0
+    return (nodes, src, dst, neg, *_bfs_levels(nodes.size, src, dst, neg))
+
+
+def is_aperiodic(nodes, G: SignedDigraph, *, _bfs: tuple | None = None) -> bool:
     """True iff the SCC's cycle-length gcd is 1, via BFS level labeling."""
-    nodes, src, dst, eid = _component(G, nodes, "is_aperiodic")
-    level, _ = _bfs_levels(nodes.size, src, dst, G.signs[eid] < 0)
+    _, src, dst, _, level, _ = _bfs or _walk(G, *_component(G, nodes, "is_aperiodic"))
     return bool(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])) == 1)
 
 
-def classify_balance(nodes, G: SignedDigraph) -> BalanceClass:
+def classify_balance(nodes, G: SignedDigraph, *, _bfs: tuple | None = None) -> BalanceClass:
     """Classify an ergodic component as balanced, anti-balanced, or neither.
 
     Balanced means a node partition exists with positive edges inside the
     parts and negative edges across; anti-balanced is the same after
-    negating every sign.  Both tests read one BFS over the undirected sign
-    skeleton, giving each node its depth d and the parity p of negative
-    edges on its BFS-tree path.  The component is balanced iff
+    negating every sign.  Both tests read the directed BFS from local node 0
+    that `is_aperiodic` runs, giving each node its depth d and the parity p
+    of negative edges on its BFS-tree path.  The component is balanced iff
     p[u] ^ p[v] == neg(e) on every edge e = (u, v); otherwise it is
     anti-balanced iff q = p ^ (d & 1) satisfies q[u] ^ q[v] == 1 - neg(e).
-    A 2-coloring of a connected graph is unique up to a swap, so taking S
-    as the nodes colored like node 0 makes it canonical.
+
+    Balance ignores edge directions, and the directed tree spans the SCC, so
+    it serves as well as a BFS tree of the undirected skeleton.  Where a
+    partition exists, p[v] is 1 exactly when v lies across from node 0,
+    whichever path is read; in the anti-balanced case q[v] is, because a
+    path of length d changes sides once per positive edge.  So p and q, the
+    verdict and S do not depend on the tree.  A 2-coloring of a connected graph is unique
+    up to a swap, so taking S as the nodes colored like node 0 makes it
+    canonical.
     """
-    nodes, src, dst, eid = _component(G, nodes, "classify_balance")
-    neg = G.signs[eid] < 0
-    level, p = _bfs_levels(nodes.size, np.concatenate([src, dst]),
-                           np.concatenate([dst, src]), np.concatenate([neg, neg]))
+    nodes, src, dst, neg, level, p = _bfs or _walk(G, *_component(G, nodes, "classify_balance"))
     if np.array_equal(p[src] ^ p[dst], neg):
         return BalanceClass(BalanceKind.BALANCED, nodes, ~p)
     q = p ^ (level & 1).astype(bool)

@@ -26,10 +26,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signedvoter as sv
-from signedvoter import simulate
+from signedvoter import simulate, structure
 from signedvoter.structure import BalanceKind
 
-from helpers import (_parse_outcome, assert_parses_like_reference, dense_p,
+from helpers import (_parse_outcome, _reference_bfs_levels, assert_parses_like_reference, dense_p,
                      reference_build_alias_tables, reference_classify_balance,
                      reference_decompose, reference_mc_run, reference_parse_snap,
                      reference_step_batch)
@@ -151,6 +151,49 @@ def test_classify_balance_matches_double_cover_oracle(G):
     assert got.kind is want.kind and np.array_equal(got.nodes, want.nodes)
     assert (None if got.in_s is None else got.in_s.tobytes()) == \
         (None if want.in_s is None else want.in_s.tobytes())
+
+
+@st.composite
+def parallel_edge_lists(draw):
+    """Up to 12 nodes and random signed edges, some repeated with either sign,
+    in ascending source order (the order _restrict gives _bfs_levels)."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    order = np.argsort(src, kind="stable")
+    return n, src[order], dst[order], np.array(bits, dtype=bool)[order]
+
+
+@PROPERTY_SETTINGS
+@given(parallel_edge_lists())
+# two parallel edges of opposite sign reach node 1, which has an out-edge
+@example((3, np.array([0, 0, 1]), np.array([1, 1, 2]), np.array([False, True, False])))
+def test_bfs_levels_claims_each_node_once(case):
+    """Levels equal the reference BFS, each reached node's parity follows one
+    edge from the level above, and each reached node is expanded once however
+    many frontier edges hit it."""
+    k, src, dst, bit = case
+    expanded = 0
+
+    def counted(start, count):
+        nonlocal expanded
+        expanded += int(count.sum())
+        return original(start, count)
+
+    original = structure._ranges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_ranges", counted)
+        level, parity = structure._bfs_levels(k, src, dst, bit)
+    assert np.array_equal(level, _reference_bfs_levels(k, src, dst))
+    assert level[0] == 0 and not parity[0]
+    for v in np.flatnonzero(level > 0):
+        into = np.flatnonzero((dst == v) & (level[src] == level[v] - 1))
+        assert (parity[src[into]] ^ bit[into] == parity[v]).any(), v
+    assert expanded == np.count_nonzero(level[src] >= 0)
 
 
 @st.composite

@@ -167,6 +167,32 @@ def test_component_checks_run_one_bfs_each(monkeypatch):
         assert calls == want, fn.__name__
 
 
+def test_analysis_runs_one_bfs_per_component(monkeypatch):
+    """analysis(i) hands one directed BFS to both checks instead of letting
+    each run its own: the aperiodic components took two BFS each before."""
+    G = build_shape(np.random.default_rng(3), 4, [("balanced", (3, 4)),
+                                                  ("anti_balanced", (2, 3)),
+                                                  ("strictly_unbalanced", (5,))])
+    original = structure._bfs_levels
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(structure, "_bfs_levels", counted)
+    d = sv.decompose(G)
+    kinds = []
+    for i in range(d.n_components):
+        calls = 0
+        a = d.analysis(i)
+        assert calls == 1, i
+        if a.aperiodic:
+            kinds.append(a.balance.kind)
+    assert set(kinds) == set(BalanceKind)
+
+
 def test_classify_balanced_even_negative_cycle():
     # 3-cycle with two negative edges, plus a chord for aperiodicity
     G = sv.from_edge_list([(0, 1, -1), (1, 2, -1), (2, 0, 1), (1, 0, -1)])
