@@ -9,12 +9,16 @@ Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
 the command draws random numbers), 2 data error (parsing, a file that is not
 UTF-8, graph invariants, or running out of memory) or an internal error (any
 other exception, reported as one `internal error: <Type>: <message>` line),
-3 numeric failure (no convergence, slow mixing, left [0, 1]).
+3 numeric failure (no convergence, slow mixing, left [0, 1]), 130
+interrupted (Ctrl-C), 141 stdout closed before all of it was written (as by
+`| head`).  Each error is one line on stderr.  `python -m signedvoter.cli`
+runs the same command line as the `signedvoter` script.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -58,6 +62,10 @@ _ADAPTIVE_CAP = 10**6  # convergence can be exponentially slow; fail loudly inst
 
 
 class UsageError(Exception):
+    pass
+
+
+class ClosedOutput(Exception):
     pass
 
 
@@ -238,8 +246,12 @@ def _cmd_classify(args, out: Path) -> None:
         })
     lines = [json.dumps(r, sort_keys=True) for r in records]
     (out / "components.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise ClosedOutput("stdout was closed before all records were written") from None
 
 
 def _steady_record(G: SignedDigraph, x0) -> dict:
@@ -389,9 +401,19 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, out)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except ClosedOutput as exc:
+        # what stdout still buffers would fail again at exit, in a second message
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        print(f"output error: {exc}", file=sys.stderr)
+        return 141
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -421,3 +443,7 @@ def main(argv=None) -> int:
 
 def run():  # console-script entry point
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

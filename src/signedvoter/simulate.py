@@ -11,19 +11,21 @@ A step draws a batch's uniforms in the C order of one (rows, n) draw per
 step.  A float64 draw takes exactly one PCG64 output, so any row of any
 step can start from a copy of the batch generator advanced to its first
 draw (_seek), and results do not depend on how rows are split among the
-up to _threads() worker threads.  mc_run is tile-major: each worker runs
-its own row tiles, at most one block of node-updates each, through all t
-steps, counts them into sums of its own as it goes and returns the sums
-when it is joined.  A worker owns its scratch, its two tile arrays and its
-sums, so memory does not grow with the number of trials, and workers share
-only read-only inputs.  With track_nodes, each worker's sums include one
-(t + 1) x n count array, at most _MAX_THREADS of them.
+up to _threads() worker threads.  mc_run is tile-major: each worker takes
+an equal share of a batch's rows and runs it in row tiles, at most one
+block of node-updates each, through all t steps, counts them into sums of
+its own as it goes and returns the sums when it is joined.  A worker owns
+its scratch, its two tile arrays and its sums, so memory does not grow
+with the number of trials, and workers share only read-only inputs.  With
+track_nodes, each worker's sums include one (t + 1) x n count array, at
+most _MAX_THREADS of them.
 mc_polarize is step-major, stepping a whole batch at a time in two color
 arrays of the batch: it drops absorbed rows after each step, so where a
 row draws from depends on how many rows earlier steps dropped.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,11 +81,11 @@ def build_alias_tables(G: SignedDigraph) -> AliasTables:
 class _Scratch:
     """The buffers of one block of the MC step, allocated once per worker."""
 
-    def __init__(self, rows: int, n: int, dtype, weighted: bool):
+    def __init__(self, rows: int, n: int, weighted: bool):
         self.rows = rows
         self.y = np.empty((rows, n))
         self.e = np.empty((rows, n), dtype=np.intp)
-        self.s = np.empty((rows, n), dtype=dtype)
+        self.both = np.empty((rows, 2 * n), dtype=bool)  # each row's colors, then their complement
         if weighted:
             self.slot_accept = np.empty((rows, n))
             self.slot_alias = np.empty((rows, n), dtype=np.intp)
@@ -124,13 +126,17 @@ class _Stepper:
     nothing of size rows x n.  Each uniform u picks slot floor(u * degree)
     of its node's out-edges; on weighted tables the slot's alias is taken
     when the fraction left over reaches the slot's accept probability.
+    The new color is then one gather: each row's colors are copied into
+    the worker's `both` buffer followed by their complement, and an edge
+    reads position target there, or target + n when it is negative.
 
     Inside a `with` block, up to _threads() workers share the work, each
     with its own block of scratch, and a worker's rows draw from a copy of
-    the generator moved to their first draw (_seek).  A step (__call__)
-    splits its rows evenly among no more workers than it has blocks; walk
-    runs a batch tile by tile through all its steps.  The worker threads
-    end with the `with` block.
+    the generator moved to their first draw (_seek).  Both a step
+    (__call__) and a walk split their rows evenly among the workers, so no
+    worker runs more than ceil(rows / workers) of them.  The worker threads
+    end with the `with` block; when it ends in an exception, the workers of
+    a walk stop at their next tile-step instead of finishing their share.
     """
 
     def __init__(self, G: SignedDigraph, tables: AliasTables):
@@ -139,32 +145,34 @@ class _Stepper:
         self.n = G.n
         self.degree = tables.degree.astype(np.float64)
         self.starts = G.indptr[:-1]
-        # target << 1 | negative: one gather gives both the node and the sign
-        dtype = np.int32 if G.n < 2**30 else np.int64
-        self.signed = (G.targets.astype(dtype) << 1) | tables.negative
-        self.offsets = np.arange(rows)[:, None] * G.n  # row starts of a flat block
+        # where each edge reads in a row of `both`
+        self.source = (G.targets + G.n * tables.negative).astype(np.intp)
+        self.offsets = np.arange(rows)[:, None] * (2 * G.n)  # row starts of a flat `both` block
         # None on unit-weight tables: with every accept at 1.0 the fraction
         # left over always falls below it, and the slot is the edge
         self.tables = None if np.all(tables.accept == 1.0) else tables
         self.scratch = []
         self.threads, self.pool = 1, None
+        self.stop = threading.Event()
 
     def _buffers(self, workers: int) -> list:
         """One block of scratch for each of `workers` workers.  No tile holds
         more than ceil(_BATCH / threads) rows, so neither does a block."""
         rows = min(self.rows, -(-_BATCH // self.threads))
         while len(self.scratch) < workers:
-            self.scratch.append(_Scratch(rows, self.n, self.signed.dtype,
-                                         self.tables is not None))
+            self.scratch.append(_Scratch(rows, self.n, self.tables is not None))
         return self.scratch
 
     def __enter__(self):
         self.threads = _threads()
+        self.stop.clear()
         if self.threads > 1:
             self.pool = ThreadPoolExecutor(self.threads - 1)
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            self.stop.set()  # no result will be read: the workers may end early
         if self.pool is not None:
             self.pool.shutdown(wait=True)  # joins every worker thread
         self.threads, self.pool = 1, None
@@ -202,41 +210,47 @@ class _Stepper:
         by tile, drawing what stepping all of them at once with `rng`, a
         PCG64 generator, would draw, and return each worker's sums.
 
-        Tiles hold min(one block, ceil(size / threads)) rows, so a batch of
-        fewer blocks than threads still uses every thread.  Worker w runs
-        tiles w, w + workers, ... each through all t steps in two tile
-        arrays of its own.  At step k, the tile of rows a:b draws from `rng`
-        moved past k - 1 whole steps and a rows, where the step of all
-        `size` rows draws them.  A worker's sums are its rows' white counts
-        per step (k = 0: the start state) and their squares, as Python ints;
-        per step and node, its white counts when `track_nodes` is set, in
-        one (t + 1) x n array; and, when `in_s` is given, how many of its
-        rows end exactly S white and exactly S black.
+        Worker w takes rows cuts[w]:cuts[w + 1], an equal share of at most
+        ceil(size / workers) rows, so a batch of fewer blocks than threads
+        still uses every thread and no worker waits on another's extra
+        tile.  It runs its share in tiles of at most one block each through
+        all t steps in two tile arrays of its own.  At step k, the tile of
+        rows a:b draws from `rng` moved past k - 1 whole steps and a rows,
+        where the step of all `size` rows draws them.  A worker's sums are
+        its rows' white counts per step (k = 0: the start state) and their
+        squares, as Python ints; per step and node, its white counts when
+        `track_nodes` is set, in one (t + 1) x n array; and, when `in_s` is
+        given, how many of its rows end exactly S white and exactly S black.
         """
-        rows = min(self.rows, -(-size // self.threads))
-        tiles = range(0, size, rows)
-        workers = min(self.threads, len(tiles))
+        workers = min(self.threads, size)
+        cuts = [w * size // workers for w in range(workers + 1)]
+        rows = min(self.rows, -(-size // workers))
         scratch = self._buffers(workers)
         start = rng.bit_generator.state
 
-        def run(w: int) -> tuple:
+        def run(w: int) -> tuple | None:
             buf = scratch[w]
             jumped = np.random.Generator(np.random.PCG64())
             pair = np.empty((2, rows, self.n), dtype=bool)
             white, squares = [0] * (t + 1), [0] * (t + 1)
             nodes = np.zeros((t + 1, self.n), dtype=np.int64) if track_nodes else None
             s_white = s_black = 0
-            for a in tiles[w::workers]:
-                colors, spare = pair[:, :min(rows, size - a)]
+            end = cuts[w + 1]
+            for a in range(cuts[w], end, rows):
+                colors, spare = pair[:, :min(rows, end - a)]
                 colors[:] = initial
                 for k in range(t + 1):
                     if k:
+                        if self.stop.is_set():
+                            return None
                         _seek(jumped.bit_generator, start, (k - 1) * size + a, self.n)
                         self._run(buf, colors, jumped, spare)
                         colors, spare = spare, colors
-                    # int64 on every platform: w @ w reaches rows * n**2,
-                    # past 2**31 on one block of a 9,500-node graph
-                    w_k = colors.sum(axis=1, dtype=np.int64)
+                    # a row count is at most n, and a uint32 sum of booleans
+                    # runs twice as fast as an int64 one; w @ w needs int64
+                    # on every platform, past 2**31 on one block of a
+                    # 9,500-node graph
+                    w_k = colors.sum(axis=1, dtype=np.uint32).astype(np.int64)
                     white[k] += int(w_k.sum())
                     squares[k] += int(w_k @ w_k)
                     if nodes is not None:
@@ -248,7 +262,7 @@ class _Stepper:
             return white, squares, nodes, s_white, s_black
 
         jobs = [self.pool.submit(run, w) for w in range(1, workers)]
-        # on a failure, __exit__ waits for the other workers
+        # on a failure, __exit__ stops the other workers and waits for them
         return [run(0)] + [job.result() for job in jobs]
 
     def _run(self, buf: _Scratch, colors: np.ndarray, rng: np.random.Generator,
@@ -256,10 +270,11 @@ class _Stepper:
         """Step `colors` into `out` block by block in the buffers of `buf`."""
         # take(out=) copies through a temporary under mode="raise"; every
         # index here is in range by construction, so "clip" never clips
+        n = self.n
         for r0 in range(0, colors.shape[0], buf.rows):
             old = colors[r0:r0 + buf.rows]
             r = old.shape[0]
-            y, e, s = buf.y[:r], buf.e[:r], buf.s[:r]
+            y, e, both = buf.y[:r], buf.e[:r], buf.both[:r]
             rng.random(out=y)
             y *= self.degree
             np.copyto(e, y, casting="unsafe")  # truncation, as astype
@@ -272,13 +287,13 @@ class _Stepper:
                 np.copyto(e, buf.slot_alias[:r], where=buf.use_alias[:r])
             else:
                 e += self.starts
-            np.take(self.signed, e, out=s, mode="clip")
-            np.right_shift(s, 1, out=e)
+            # take reads each index before it writes that slot, so e can
+            # turn from edge ids into positions in place
+            np.take(self.source, e, out=e, mode="clip")
             e += self.offsets[:r]
-            new = out[r0:r0 + r]
-            np.take(old.ravel(), e, out=new, mode="clip")
-            s &= 1
-            np.not_equal(new, s, out=new)  # XOR with the sign bit
+            both[:, :n] = old
+            np.logical_not(old, out=both[:, n:])
+            np.take(both.ravel(), e, out=out[r0:r0 + r], mode="clip")
 
 
 def mc_step(G: SignedDigraph, colors, rng: np.random.Generator) -> np.ndarray:

@@ -91,6 +91,8 @@ class Block:
         self.rows = np.asarray(rows, dtype=np.int64)
         self.cols = np.asarray(cols, dtype=np.int64)
         self.coef = np.asarray(coef, dtype=np.float64)
+        for a in (self.rows, self.cols, self.coef):
+            a.setflags(write=False)  # a cached block is shared by every caller
         self.nrows = nrows
         self.ncols = ncols
 
@@ -143,9 +145,8 @@ class Decomposition:
             bal = None
             if aperiodic:
                 bal = classify_balance(comp, self.graph, _bfs=bfs)
-                for a in (bal.nodes, bal.in_s):
-                    if a is not None:
-                        a.setflags(write=False)
+                if bal.in_s is not None:
+                    bal.in_s.setflags(write=False)
             self._analyses[i] = ComponentAnalysis(self.graph, comp, aperiodic, bal)
         return self._analyses[i]
 
@@ -239,13 +240,17 @@ def decompose(G: SignedDigraph) -> Decomposition:
     renumber = np.empty(n_comps, dtype=np.int64)
     renumber[np.argsort(first)] = np.arange(n_comps)
     scc_id = renumber[comp_of]
-    comps = np.split(np.argsort(scc_id, kind="stable"), np.cumsum(np.bincount(scc_id))[:-1])
+    order = np.argsort(scc_id, kind="stable")
+    order.setflags(write=False)  # so is every component, a view of it
+    comps = np.split(order, np.cumsum(np.bincount(scc_id))[:-1])
 
     has_out = np.zeros(n_comps, dtype=bool)
     cross = scc_id[G.sources] != scc_id[G.targets]
     has_out[scc_id[G.sources[cross]]] = True
     sink_index = np.flatnonzero(~has_out).tolist()
     non_sink = np.nonzero(has_out[scc_id])[0]
+    for a in (scc_id, non_sink):
+        a.setflags(write=False)  # shared by every caller of the cached decomposition
     G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink)
     return G._decomposition
 

@@ -3,7 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -846,3 +851,51 @@ def test_dynamics_rows_are_propagate_bits(tmp_path):
         assert [row.split(",") for row in rows] == want
         checked += 1
     assert checked >= 8
+
+
+def _cli_process(*argv) -> subprocess.Popen:
+    """`python -m signedvoter.cli` with `argv`, in a fresh process."""
+    src = Path(sv.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen([sys.executable, "-m", "signedvoter.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_python_m_runs_the_cli(bal_cfg, tmp_path):
+    out = tmp_path / "cls"
+    proc = _cli_process("classify", "--generate", bal_cfg, "--out", str(out))
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (0, "")
+    assert stdout == (out / "components.jsonl").read_text()
+    assert (out / "manifest.json").exists()
+
+
+def test_closed_stdout_is_a_one_line_output_error(bal_cfg, tmp_path):
+    # the reader is gone before the first record is written, as when
+    # `| head` has already taken what it wanted
+    proc = _cli_process("classify", "--generate", bal_cfg, "--out", str(tmp_path / "cls"))
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr.splitlines() == [
+        "output error: stdout was closed before all records were written"]
+
+
+def test_interrupt_is_one_line_and_stops_every_thread(bal_cfg, tmp_path):
+    # 10**7 steps of 8,192 trials would take hours: the process ends in time
+    # only if every worker thread stops at the interrupt
+    out = tmp_path / "sim"
+    proc = _cli_process("simulate", "--generate", bal_cfg, "--seeds", "0", "--t", "10000000",
+                        "--trials", "8192", "--out", str(out))
+    deadline = time.monotonic() + 60
+    while not out.exists():  # main makes --out before the command runs
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.02)
+    time.sleep(0.5)  # into the Monte Carlo steps
+    proc.send_signal(signal.SIGINT)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, stdout, stderr) == (130, "", "interrupted\n")
+    assert list(out.iterdir()) == []

@@ -1,6 +1,7 @@
 """Monte Carlo simulator: determinism, unbiasedness, polarization absorption,
 and the exact random stream, pinned by digests of every statistic."""
 
+import collections
 import hashlib
 import sys
 import threading
@@ -449,3 +450,50 @@ def test_mc_calls_leave_no_thread_running(monkeypatch, fail):
             call()
         assert threading.active_count() == before
     assert len(seen) > 1  # worker threads stepped rows, not only the calling thread
+
+
+def test_walk_gives_every_thread_an_equal_share(monkeypatch):
+    # 200 trials in blocks of 27 rows on two threads: tiles of 27 rows dealt
+    # in turn would leave one thread 108 rows of every step and the other 92
+    G = _balanced([5, 5], 3)
+    monkeypatch.setattr(simulate, "_BLOCK", 27 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 2)
+    rows = collections.Counter()
+    run = simulate._Stepper._run
+
+    def counted_run(self, buf, colors, *args):
+        rows[threading.get_ident()] += colors.shape[0]  # each thread its own key
+        run(self, buf, colors, *args)
+
+    monkeypatch.setattr(simulate._Stepper, "_run", counted_run)
+    t = 3
+    sv.mc_run(G, [0, 1], t=t, trials=200, rng_seed=1)
+    assert len(rows) == 2 and sum(rows.values()) == 200 * t
+    assert max(rows.values()) <= 100 * t
+
+
+def test_walk_workers_stop_when_the_calling_thread_is_interrupted(monkeypatch):
+    # Ctrl-C reaches only the calling thread; the other worker must stop at
+    # its next tile-step rather than run its rows through all t steps
+    G = _balanced([5, 5], 3)
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 2)
+    caller, stepping = threading.get_ident(), threading.Event()
+    worker_steps = []
+    run = simulate._Stepper._run
+
+    def worker_run(self, *args):
+        if threading.get_ident() == caller:
+            assert stepping.wait(timeout=30)
+            raise KeyboardInterrupt
+        worker_steps.append(1)
+        stepping.set()
+        run(self, *args)
+
+    monkeypatch.setattr(simulate._Stepper, "_run", worker_run)
+    before = threading.active_count()
+    t = 100_000
+    with pytest.raises(KeyboardInterrupt):
+        sv.mc_run(G, [0, 1], t=t, trials=4, rng_seed=1)
+    assert threading.active_count() == before
+    assert 0 < len(worker_steps) < t // 10

@@ -372,3 +372,39 @@ def test_restrict_matches_edge_mask(seed):
                 if s in row_of and t in col_of]
         src, dst, eid = _restrict(G, rows, cols)
         assert list(zip(src.tolist(), dst.tolist(), eid.tolist())) == want
+
+
+def test_shared_cached_arrays_are_read_only():
+    # 0 -> 1 -> {2, 3} (balanced sink) and 1 -> 6 (anti-balanced sink), fed
+    # by the periodic two-cycle {4, 5}: a write into any array the cache
+    # hands out would change every later answer, as a write of 3 into
+    # steady_state(G, x0).non_sink once made the next call leave [0, 1]
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 1), (3, 3, 1),
+                           (4, 5, 1), (5, 4, 1), (5, 0, 1), (1, 6, 1), (6, 6, -1)])
+    x0 = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+    d = sv.decompose(G)
+    first = sv.steady_state(G, x0)
+    sv.contribution_longterm(G)
+    sv.contribution_average(G, 3)
+    shared = {"scc_id": d.scc_id, "non_sink": d.non_sink, "steady non_sink": first.non_sink}
+    for i, comp in enumerate(d.components):
+        facts = d.analysis(i)
+        shared[f"components[{i}]"] = comp
+        shared[f"analysis({i}).nodes"] = facts.nodes
+        if facts.balance is not None:
+            for name in ("nodes", "in_s", "signs"):
+                shared[f"analysis({i}).balance.{name}"] = getattr(facts.balance, name)
+    for i, sink in enumerate(d.sink_analysis):
+        shared[f"sink {i} pi"] = sink.pi
+        for name, blk in (("px", d.px()), (f"py({i})", d.py(i)), (f"pz({i})", d.pz(i))):
+            for field in ("rows", "cols", "coef"):
+                shared[f"{name}.{field}"] = getattr(blk, field)
+    assert not any(d.analysis(i).aperiodic for i in range(d.n_components)
+                   if 4 in d.components[i])  # a periodic component is covered too
+    writable = [name for name, a in shared.items() if a is not None and a.flags.writeable]
+    assert writable == []
+    with pytest.raises(ValueError, match="read-only"):
+        first.non_sink[:] = 3
+    again = sv.steady_state(G, x0)
+    assert again.x_even.tobytes() == first.x_even.tobytes()
+    assert again.x_odd.tobytes() == first.x_odd.tobytes()
