@@ -52,11 +52,12 @@ def step(G: SignedDigraph, x) -> np.ndarray:
 def _step(G: SignedDigraph, x: np.ndarray) -> np.ndarray:
     """`step` on a validated float64 x: its own rows need no second check."""
     g = G.ground if x.ndim == 1 else G.ground[:, None]
-    y = apply_p(G, x) + g
+    y = apply_p(G, x)
+    y += g
     lo, hi = y.min(), y.max()
     if lo < -_CLAMP_SLACK or hi > 1.0 + _CLAMP_SLACK:
         raise LeftUnitInterval(f"propagated distribution escaped [0,1] by {max(-lo, hi - 1.0):.3e}")
-    return np.clip(y, 0.0, 1.0)
+    return np.clip(y, 0.0, 1.0, out=y)
 
 
 def _trajectory(G: SignedDigraph, x0):

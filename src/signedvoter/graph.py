@@ -6,8 +6,22 @@ P = D^-1 A (D = diagonal of total absolute out-weights) is never
 materialized; `apply_p` and `apply_p_transpose` apply it edge by edge, which
 keeps every product at O(|E|) regardless of n.  `scatter` is the one
 edge-list kernel behind the transpose and every block of P in `structure`.
+
+A product of at least _PART_EDGES edges runs in k = min(_threads(),
+m // _PART_EDGES) parts, each over a contiguous range of output nodes: part
+0 on the calling thread, the others on one pool of at most _threads() - 1
+worker threads, made on first use and kept for the life of the process.
+`apply_p` cuts the CSR rows into ranges of about m/k edges.  `scatter` reads
+a partition made once per operator on the calling thread: its edges split
+stably by ranges of the output index, which costs a copy of the edge
+arrays, or of the output index alone where it already ascends.  Each
+output entry is summed by the same kernel over the same edges in the same
+order as in one part, so the bits do not depend on k.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -16,6 +30,67 @@ import numpy as np
 from .errors import DanglingNode, DuplicateEdge, MalformedLine, NonFiniteWeight, ZeroWeightEdge
 
 _OUT_WEIGHT_RTOL = 1e-12  # relative slack of validate()'s out_weight check
+_MAX_THREADS = 4  # threads of one product or one MC step, at most
+# Edges per part of a product, at least.  On a shared 2-vCPU host (NumPy
+# 2.4, min of 7 x 40 calls), two parts made the 100k-edge products of
+# configs/balanced.cfg slower, apply_p 0.54 -> 0.62 ms and the transpose
+# 0.49 -> 0.57 ms, since handing a part over costs more than it saves; on
+# an Epinions-sized graph of 1.07M edges they took apply_p 5.4-6.6 ->
+# 3.2-4.3 ms and the transpose 4.9-5.8 -> 3.3-3.5 ms.
+_PART_EDGES = 1 << 18
+
+
+def _threads() -> int:
+    """Threads a product or an MC step may use: the cores this process may run on, capped."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(_MAX_THREADS, cores))
+
+
+def _parts(m: int) -> int:
+    """The number of parts of a product over m edges."""
+    return max(1, min(_threads(), m // _PART_EDGES))
+
+
+def _cuts(starts: np.ndarray, k: int) -> np.ndarray:
+    """Cuts c_0 = 0 <= ... <= c_k = starts.size - 1 of the output entries,
+    where entry i's edges start at starts[i] and the last ones end at
+    starts[-1], into k ranges of about starts[-1] / k edges each."""
+    cuts = np.searchsorted(starts, np.arange(k + 1) * starts[-1] // k)
+    cuts[-1] = starts.size - 1  # past trailing entries that have no edges
+    return cuts
+
+
+_pool = None  # the product workers, made on first use
+_pool_lock = threading.Lock()
+
+
+def _workers() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _threads() - 1), thread_name_prefix="signedvoter")
+        return _pool
+
+
+def _in_parts(run, k: int) -> list:
+    """[run(0), ..., run(k - 1)]: run(0) on the calling thread, the others on
+    the pool.  Returns or raises only once every part has finished; raises
+    the exception of the first part, in part order, that raised one."""
+    if k == 1:
+        return [run(0)]
+    jobs = [_workers().submit(run, j) for j in range(1, k)]
+    try:
+        first = run(0)
+    finally:
+        wait(jobs)
+    return [first] + [job.result() for job in jobs]
+
+
+def _joined(pieces: list) -> np.ndarray:
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
 @dataclass(eq=False, repr=False)
@@ -52,9 +127,11 @@ class SignedDigraph:
     def n_negative(self) -> int:
         return int(np.count_nonzero(self.signs < 0))
 
-    @cached_property
+    @property
     def sources(self) -> np.ndarray:
-        """Per-edge source node id (the CSR row expanded)."""
+        """Per-edge source node id (the CSR row expanded), made on each use:
+        only cold paths read it, and a transposed product reads the copy in
+        its partition."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
         src.setflags(write=False)
         return src
@@ -65,6 +142,18 @@ class SignedDigraph:
         coef = self.signs * self.weights / self.out_weight[self.sources]
         coef.setflags(write=False)
         return coef
+
+    @cached_property
+    def _row_cuts(self) -> np.ndarray:
+        """apply_p's parts: row ranges cuts[j]:cuts[j + 1] of about m/k edges."""
+        cuts = _cuts(self.indptr, _parts(self.n_edges))
+        cuts.setflags(write=False)
+        return cuts
+
+    @cached_property
+    def _transpose_parts(self) -> tuple:
+        """apply_p_transpose's partition (see `partition`)."""
+        return partition(self.targets, self.sources, self.transition_coef, self.n)
 
     @cached_property
     def ground(self) -> np.ndarray:
@@ -338,15 +427,54 @@ def _check_input(G: SignedDigraph, v) -> np.ndarray:
     return v
 
 
-def scatter(out_idx, in_idx, coef, v, size: int) -> np.ndarray:
-    """Edge-list product: result[out_idx[e]] += coef[e] * v[in_idx[e]], length `size`.
+def partition(out_idx, in_idx, coef, size: int) -> tuple:
+    """The edge list out_idx, in_idx, coef, with out_idx < size, split stably
+    by ranges of out_idx into `_parts(m)` parts of about m/k edges.
+
+    Part j is (a, b, out_idx - a, in_idx, coef) over the edges with
+    a <= out_idx < b, in their order; the ranges tile 0..size, and a range
+    may hold no edge.  A single part is the arrays themselves; where out_idx
+    ascends, in_idx and coef are sliced, not copied.  Every array is
+    read-only.
+    """
+    m = out_idx.size
+    k = _parts(m)
+    if k == 1:
+        return ((0, size, out_idx, in_idx, coef),)
+    starts = np.zeros(size + 1, dtype=np.int64)  # edges into bins below i
+    np.cumsum(np.bincount(out_idx, minlength=size), out=starts[1:])
+    ascending = bool(np.all(out_idx[1:] >= out_idx[:-1]))
+    cuts = _cuts(starts, k).tolist()
+    parts = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if ascending:
+            edges = slice(starts[a], starts[b])
+        else:
+            edges = np.flatnonzero((out_idx >= a) & (out_idx < b))
+        part = (out_idx[edges] - a, in_idx[edges], coef[edges])
+        for arr in part:
+            arr.setflags(write=False)
+        parts.append((a, b, *part))
+    return tuple(parts)
+
+
+def scatter(parts: tuple, v) -> np.ndarray:
+    """Edge-list product: result[out_idx[e]] += coef[e] * v[in_idx[e]] over
+    the edges of a `partition`, each part writing its own range.
 
     `v` is a vector or a batch of columns.  A batch runs column by column:
     one flattened bincount gives the same bits but measured 2-4x slower.
     """
-    if v.ndim == 1:
-        return np.bincount(out_idx, weights=coef * v[in_idx], minlength=size)
-    return np.stack([scatter(out_idx, in_idx, coef, col, size) for col in v.T], axis=1)
+    def run(j):
+        a, b, out_idx, in_idx, coef = parts[j]
+        sums = []
+        for col in ([v] if v.ndim == 1 else v.T):
+            weights = col[in_idx]
+            np.multiply(coef, weights, out=weights)
+            sums.append(np.bincount(out_idx, weights=weights, minlength=b - a))
+        return sums[0] if v.ndim == 1 else np.stack(sums, axis=1)
+
+    return _joined(_in_parts(run, len(parts)))
 
 
 def apply_p(G: SignedDigraph, v) -> np.ndarray:
@@ -359,12 +487,22 @@ def apply_p(G: SignedDigraph, v) -> np.ndarray:
     """
     v = _check_input(G, v)
     coef = G.transition_coef if v.ndim == 1 else G.transition_coef[:, None]
-    return np.add.reduceat(coef * v[G.targets], G.indptr[:-1], axis=0)
+    indptr, targets, cuts = G.indptr, G.targets, G._row_cuts
+
+    def run(j):
+        a, b = cuts[j], cuts[j + 1]
+        lo, hi = indptr[a], indptr[b]
+        w = v[targets[lo:hi]]
+        np.multiply(coef[lo:hi], w, out=w)
+        # no out=: reduceat into a given out holds the GIL
+        return np.add.reduceat(w, indptr[a:b] - lo, axis=0)
+
+    return _joined(_in_parts(run, cuts.size - 1))
 
 
 def apply_p_transpose(G: SignedDigraph, v) -> np.ndarray:
     """Apply the transpose of the signed transition matrix, edge by edge."""
-    return scatter(G.targets, G.sources, G.transition_coef, _check_input(G, v), G.n)
+    return scatter(G._transpose_parts, _check_input(G, v))
 
 
 def negate_signs(G: SignedDigraph) -> SignedDigraph:

@@ -18,24 +18,22 @@ its own as it goes and returns the sums when it is joined.  A worker owns
 its scratch, its two tile arrays and its sums, so memory does not grow
 with the number of trials, and workers share only read-only inputs.  With
 track_nodes, each worker's sums include one (t + 1) x n count array, at
-most _MAX_THREADS of them.
+most graph._MAX_THREADS of them.
 mc_polarize is step-major, stepping a whole batch at a time in two color
 arrays of the batch: it drops absorbed rows after each step, so where a
 row draws from depends on how many rows earlier steps dropped.
 """
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SignedDigraph, indicator
+from .graph import SignedDigraph, _threads, indicator
 
 _BATCH = 8192  # fixed so batching (and therefore RNG usage) depends only on `trials`
 _BLOCK = 1 << 18  # node-updates per block of the MC step: bounds its scratch memory
-_MAX_THREADS = 4  # worker threads of one MC step, at most
 _POLARIZE_MAX_STEPS = 50_000  # mc_polarize gives up on trials still unabsorbed here
 _POLARIZE_CHECKPOINT_EVERY = 64  # steps between mc_polarize's absorbed-fraction records
 
@@ -90,15 +88,6 @@ class _Scratch:
             self.slot_accept = np.empty((rows, n))
             self.slot_alias = np.empty((rows, n), dtype=np.intp)
             self.use_alias = np.empty((rows, n), dtype=bool)
-
-
-def _threads() -> int:
-    """Threads an MC step may use: the cores this process may run on, capped."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cores = os.cpu_count() or 1
-    return max(1, min(_MAX_THREADS, cores))
 
 
 def _seek(bits: np.random.PCG64, state: dict, row: int, n: int) -> None:

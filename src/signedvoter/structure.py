@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
-from .graph import SignedDigraph, _ranges, scatter
+from .graph import SignedDigraph, _ranges, partition, scatter
 
 
 class BalanceKind(Enum):
@@ -96,11 +96,19 @@ class Block:
         self.nrows = nrows
         self.ncols = ncols
 
+    @cached_property
+    def _parts(self) -> tuple:
+        return partition(self.rows, self.cols, self.coef, self.nrows)
+
+    @cached_property
+    def _t_parts(self) -> tuple:
+        return partition(self.cols, self.rows, self.coef, self.ncols)
+
     def apply(self, v) -> np.ndarray:
-        return scatter(self.rows, self.cols, self.coef, np.asarray(v, dtype=np.float64), self.nrows)
+        return scatter(self._parts, np.asarray(v, dtype=np.float64))
 
     def apply_t(self, v) -> np.ndarray:
-        return scatter(self.cols, self.rows, self.coef, np.asarray(v, dtype=np.float64), self.ncols)
+        return scatter(self._t_parts, np.asarray(v, dtype=np.float64))
 
     def dense(self) -> np.ndarray:
         m = np.zeros((self.nrows, self.ncols))
@@ -245,8 +253,9 @@ def decompose(G: SignedDigraph) -> Decomposition:
     comps = np.split(order, np.cumsum(np.bincount(scc_id))[:-1])
 
     has_out = np.zeros(n_comps, dtype=bool)
-    cross = scc_id[G.sources] != scc_id[G.targets]
-    has_out[scc_id[G.sources[cross]]] = True
+    src = G.sources
+    cross = scc_id[src] != scc_id[G.targets]
+    has_out[scc_id[src[cross]]] = True
     sink_index = np.flatnonzero(~has_out).tolist()
     non_sink = np.nonzero(has_out[scc_id])[0]
     for a in (scc_id, non_sink):

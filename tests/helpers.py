@@ -4,15 +4,40 @@ The dense routines rebuild matrices straight from the raw storage arrays and
 never call the matrix-free kernels they are used to check.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 
 import signedvoter as sv
+from signedvoter import graph
 from signedvoter.errors import (DanglingNode, GenerationFailed, MalformedLine,
                                 NotStronglyConnected, SignedVoterError, ZeroWeightEdge)
 from signedvoter.simulate import AliasTables
 from signedvoter.structure import BalanceClass, BalanceKind, Decomposition, _ranges, _restrict
 
 DENSE_GATE = 50
+
+
+@contextmanager
+def products_in_parts(threads: int, part_edges: int = 1):
+    """Within the block, the products of every operator first used there run
+    in min(threads, m // part_edges) parts, on a worker pool of their own
+    that is shut down when the block ends."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_threads", lambda: threads)
+        mp.setattr(graph, "_PART_EDGES", part_edges)
+        mp.setattr(graph, "_pool", None)
+        try:
+            yield
+        finally:
+            if graph._pool is not None:
+                graph._pool.shutdown(wait=True)
+
+
+def copy_graph(G):
+    """A graph on G's arrays with none of G's cached operators."""
+    return sv.SignedDigraph(G.n, G.indptr, G.targets, G.weights, G.signs, G.out_weight)
 
 
 def dense_p(G):

@@ -1,11 +1,15 @@
 """Graph construction, parsing, and the matrix-free transition operator."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import signedvoter as sv
+from signedvoter import graph
 from signedvoter.errors import (
     DanglingNode,
     DuplicateEdge,
@@ -15,7 +19,8 @@ from signedvoter.errors import (
 )
 from signedvoter.graph import _plain_fields
 
-from helpers import assert_parses_like_reference, dense_ground, dense_p, random_graph
+from helpers import (assert_parses_like_reference, copy_graph, dense_ground, dense_p,
+                     products_in_parts, random_graph)
 
 
 def test_minimal_cycle():
@@ -350,3 +355,51 @@ def test_parse_snap_graph_owns_contiguous_targets():
     assert _plain_fields(text) is not None
     targets = sv.parse_snap(text).graph.targets
     assert targets.flags.c_contiguous and targets.base is None
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["calling thread", "worker"])
+def test_a_failed_part_reaches_the_caller_once_every_part_ends(failing):
+    finished = []
+
+    def run(j):
+        if j == failing:
+            raise RuntimeError(f"part {j} failed")
+        time.sleep(0.2 if j == 2 else 0.0)  # still running when the failure is raised
+        finished.append(j)
+        return j
+
+    with products_in_parts(3):
+        with pytest.raises(RuntimeError, match=f"part {failing} failed"):
+            graph._in_parts(run, 3)
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+        assert graph._in_parts(lambda j: j, 3) == [0, 1, 2]  # the pool still serves
+
+
+def test_parted_products_share_one_pool_of_at_most_threads_minus_one():
+    # four callers at once, each splitting every product in three, on a pool
+    # of two workers, with thread switches every 10 microseconds
+    G = random_graph(np.random.default_rng(5), 300)
+    v = np.random.default_rng(6).random((G.n, 2))
+    want = [sv.apply_p(G, v).tobytes(), sv.apply_p_transpose(G, v).tobytes()]
+    results, switch = [], sys.getswitchinterval()
+    with products_in_parts(3):
+        parted = copy_graph(G)
+
+        def call():
+            for _ in range(40):
+                results.append([sv.apply_p(parted, v).tobytes(),
+                                sv.apply_p_transpose(parted, v).tobytes()])
+
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in callers)
+        assert len(parted._transpose_parts) == 3 and parted._row_cuts.size == 4
+        assert 1 <= len(graph._pool._threads) <= 2
+    assert len(results) == 160 and all(r == want for r in results)

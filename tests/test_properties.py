@@ -2,9 +2,10 @@
 against oracles.
 
 Random signed digraphs of at most 8 nodes; every SCC is checked, and every
-transition-matrix product is compared with the dense matrix.  Balance
-classes of planted-partition graphs of up to 60 nodes are compared with a
-2-coloring of the signed double cover.  Random edge-list texts, bad lines
+transition-matrix product is compared with the dense matrix, and run in up
+to four parts against its bits in one.  Balance classes of
+planted-partition graphs of up to 60 nodes are compared with a 2-coloring
+of the signed double cover.  Random edge-list texts, bad lines
 included, are parsed by parse_snap and by a line-by-line reference parser,
 and so are serialized graphs with one line-level mutation each.
 Alias tables are compared with a node-by-node build, and the blocked MC
@@ -29,8 +30,8 @@ import signedvoter as sv
 from signedvoter import simulate, structure
 from signedvoter.structure import BalanceKind
 
-from helpers import (_parse_outcome, _reference_bfs_levels, assert_parses_like_reference, dense_p,
-                     reference_build_alias_tables, reference_classify_balance,
+from helpers import (_parse_outcome, _reference_bfs_levels, assert_parses_like_reference, copy_graph,
+                     dense_p, products_in_parts, reference_build_alias_tables, reference_classify_balance,
                      reference_decompose, reference_mc_run, reference_parse_snap,
                      reference_step_batch)
 
@@ -269,6 +270,51 @@ def test_operators_match_dense_p(case):
             assert np.allclose(block.apply(v), M @ v, rtol=0, atol=1e-12), name
         for w in (V[:M.shape[0], 0], V[:M.shape[0]]):
             assert np.allclose(block.apply_t(w), M.T @ w, rtol=0, atol=1e-12), name
+
+
+def _star(n: int, inward: bool):
+    """Every edge enters node 0 (inward), or node 0 sends one to every node
+    and gets one back: a transpose with one nonempty range, or a row of
+    about half the edges."""
+    edges = [(v, 0, -1 if v % 2 else 1) for v in range(n)]
+    if not inward:
+        edges += [(0, v, 1) for v in range(1, n)]
+    return sv.from_edge_list(edges)
+
+
+def _products(G, V):
+    """Every product of G's operators on one vector and on a batch of three."""
+    d = sv.decompose(G)
+    blocks = [structure.Block(G.sources, G.targets, G.transition_coef, G.n, G.n), d.px()]
+    blocks += [blk for i in range(len(d.sinks)) for blk in (d.py(i), d.pz(i))]
+    out = []
+    for v in (V[:, 0], V):
+        out += [sv.apply_p(G, v), sv.apply_p_transpose(G, v)]
+        for blk in blocks:
+            out += [blk.apply(v[:blk.ncols]), blk.apply_t(v[:blk.nrows])]
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(signed_digraphs(), st.builds(_star, st.integers(1, 8), st.booleans())),
+       st.integers(1, 4), st.data())
+def test_products_in_parts_keep_the_bits_of_one_part(G, k, data):
+    values = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                                min_size=3 * G.n, max_size=3 * G.n), label="entries")
+    V = np.array(values).reshape(G.n, 3)
+    want = _products(G, V)  # small graphs run in one part
+    assert len(G._transpose_parts) == 1 and G._row_cuts.size == 2
+    with products_in_parts(k):
+        parted = copy_graph(G)
+        got = _products(parted, V)
+        parts = parted._transpose_parts
+    assert len(parts) == min(k, G.n_edges)
+    # the ranges tile 0..n, and every edge lies in the range of its target
+    assert [p[0] for p in parts[1:]] == [p[1] for p in parts[:-1]] and parts[-1][1] == G.n
+    assert sum(p[2].size for p in parts) == G.n_edges
+    assert all(np.all(p[2] < p[1] - p[0]) for p in parts)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @PROPERTY_SETTINGS

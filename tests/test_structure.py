@@ -10,7 +10,8 @@ from signedvoter import structure
 from signedvoter.errors import NoConvergence, NotStronglyConnected, PeriodicComponent, WrongKind
 from signedvoter.structure import BalanceKind, _restrict
 
-from helpers import build_shape, dense_p, random_graph, reference_classify_balance, small_family
+from helpers import (build_shape, copy_graph, dense_p, products_in_parts, random_graph,
+                     reference_classify_balance, small_family)
 
 
 def test_decompose_strongly_connected():
@@ -401,6 +402,24 @@ def test_shared_cached_arrays_are_read_only():
                 shared[f"{name}.{field}"] = getattr(blk, field)
     assert not any(d.analysis(i).aperiodic for i in range(d.n_components)
                    if 4 in d.components[i])  # a periodic component is covered too
+
+    def partitions(name, H):  # the partitions of H's products, made on first use
+        dh = sv.decompose(H)
+        operators = {"transpose": H._transpose_parts}
+        for i in range(len(dh.sinks)):
+            for blk_name, blk in (("px", dh.px()), (f"py({i})", dh.py(i)), (f"pz({i})", dh.pz(i))):
+                operators[blk_name], operators[f"{blk_name}.t"] = blk._parts, blk._t_parts
+        shared[f"{name} row cuts"] = H._row_cuts
+        for op, parts in operators.items():
+            for j, part in enumerate(parts):
+                for k, a in enumerate(part[2:]):
+                    shared[f"{name} {op} part {j}[{k}]"] = a
+
+    partitions("G", G)  # one part: the arrays themselves
+    with products_in_parts(2):
+        parted = copy_graph(G)
+        partitions("parted", parted)
+    assert len(parted._transpose_parts) == 2
     writable = [name for name, a in shared.items() if a is not None and a.flags.writeable]
     assert writable == []
     with pytest.raises(ValueError, match="read-only"):
