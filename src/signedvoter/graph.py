@@ -4,19 +4,31 @@ A graph holds, per node, a list of weighted signed out-edges stored in flat
 CSR-style arrays sorted by target id.  The signed transition matrix
 P = D^-1 A (D = diagonal of total absolute out-weights) is never
 materialized; `apply_p` and `apply_p_transpose` apply it edge by edge, which
-keeps every product at O(|E|) regardless of n.  `scatter` is the one
-edge-list kernel behind the transpose and every block of P in `structure`.
+keeps every product at O(|E|) regardless of n.
+
+Every product reads one jagged-diagonal `Layout` per part, made once per
+operator on the calling thread and cached with it: the part's rows sorted
+by edge count, descending, and diagonal j the j-th edge of every row that
+has more than j, stored one diagonal after the other.  Summing a row's edges
+one per diagonal adds them in their order, so one NumPy add over the
+leading rows of each diagonal does the work of a per-row loop without its
+cost per row.  Two rules sum them, each with the bits of the NumPy call it
+replaces: `scatter` (the transpose and every block of P in `structure`) that
+of np.bincount, and `reduce_rows` (`apply_p`) that of np.add.reduceat over
+each CSR row.  Rows of over _DIAGONAL_EDGES edges, the tail, are summed by
+those calls themselves.  A layout holds 16 bytes per edge (the gathered
+index and the coefficient) and 8 per node (each row's place in the sums),
+and a bincount-rule layout 8 more per edge (each edge's place, which the
+tail reads).
 
 A product of at least _PART_EDGES edges runs in k = min(_threads(),
 m // _PART_EDGES) parts, each over a contiguous range of output nodes: part
 0 on the calling thread, the others on one pool of at most _threads() - 1
 worker threads, made on first use and kept for the life of the process.
-`apply_p` cuts the CSR rows into ranges of about m/k edges.  `scatter` reads
-a partition made once per operator on the calling thread: its edges split
-stably by ranges of the output index, which costs a copy of the edge
-arrays, or of the output index alone where it already ascends.  Each
-output entry is summed by the same kernel over the same edges in the same
-order as in one part, so the bits do not depend on k.
+`row_partition` cuts the CSR rows into ranges of about m/k edges;
+`partition` splits an edge list stably by ranges of the output index.  Each
+output entry is summed over the same edges in the same order as in one
+part, so the bits do not depend on k.
 """
 
 import os
@@ -24,6 +36,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +52,9 @@ _MAX_THREADS = 4  # threads of one product or one MC step, at most
 # an Epinions-sized graph of 1.07M edges they took apply_p 5.4-6.6 ->
 # 3.2-4.3 ms and the transpose 4.9-5.8 -> 3.3-3.5 ms.
 _PART_EDGES = 1 << 18
+# A row of at most this many edges is summed diagonal by diagonal: its first
+# term and one pairwise block of NumPy's reduce, 128 terms (see _diagonal_reduceat).
+_DIAGONAL_EDGES = 129
 
 
 def _threads() -> int:
@@ -149,6 +166,11 @@ class SignedDigraph:
         cuts = _cuts(self.indptr, _parts(self.n_edges))
         cuts.setflags(write=False)
         return cuts
+
+    @cached_property
+    def _row_parts(self) -> tuple:
+        """apply_p's parts (see `row_partition`)."""
+        return row_partition(self.indptr, self.targets, self.transition_coef, self._row_cuts)
 
     @cached_property
     def _transpose_parts(self) -> tuple:
@@ -427,77 +449,249 @@ def _check_input(G: SignedDigraph, v) -> np.ndarray:
     return v
 
 
-def partition(out_idx, in_idx, coef, size: int) -> tuple:
-    """The edge list out_idx, in_idx, coef, with out_idx < size, split stably
-    by ranges of out_idx into `_parts(m)` parts of about m/k edges.
+class Layout(NamedTuple):
+    """One part of an edge product, writing out[a:b], in jagged-diagonal form.
 
-    Part j is (a, b, out_idx - a, in_idx, coef) over the edges with
-    a <= out_idx < b, in their order; the ranges tile 0..size, and a range
-    may hold no edge.  A single part is the arrays themselves; where out_idx
-    ascends, in_idx and coef are sliced, not copied.  Every array is
+    The part sums each of its rows (outputs - a) into a place, its slot:
+    first the rows with 1 to _DIAGONAL_EDGES edges, by edge count,
+    descending and stable, then the tail, the rows with more edges, in
+    ascending order.  slot[r] is row r's place, and b - a for a row without
+    edges.  Diagonal j holds the j-th edge, in summation order, of each of
+    the first rows that has more than j: edges diags[j]:diags[j + 1] of
+    in_idx and coef, one per row in slot order.  The tail's edges follow,
+    row by row.  A bincount-rule part keeps each edge's slot in out_local,
+    and a reduceat-rule part the first edge of each tail row after the
+    diagonals in tail_starts; each leaves the other None.  Every array is
     read-only.
     """
-    m = out_idx.size
-    k = _parts(m)
-    if k == 1:
-        return ((0, size, out_idx, in_idx, coef),)
-    starts = np.zeros(size + 1, dtype=np.int64)  # edges into bins below i
-    np.cumsum(np.bincount(out_idx, minlength=size), out=starts[1:])
-    ascending = bool(np.all(out_idx[1:] >= out_idx[:-1]))
-    cuts = _cuts(starts, k).tolist()
-    parts = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if ascending:
-            edges = slice(starts[a], starts[b])
-        else:
-            edges = np.flatnonzero((out_idx >= a) & (out_idx < b))
-        part = (out_idx[edges] - a, in_idx[edges], coef[edges])
-        for arr in part:
+
+    a: int
+    b: int
+    out_local: np.ndarray | None
+    in_idx: np.ndarray
+    coef: np.ndarray
+    slot: np.ndarray
+    diags: np.ndarray
+    tail_starts: np.ndarray | None
+
+
+def _stable_order(keys: np.ndarray, size: int) -> np.ndarray:
+    """argsort(keys, kind="stable") for 0 <= keys < size, by stable passes
+    over 16-bit digits, which NumPy sorts by radix."""
+    order = keys.astype(np.uint16).argsort(kind="stable")  # the cast keeps the low digit
+    shift = 16
+    while size > 1 << shift:
+        order = order[(keys[order] >> shift).astype(np.uint16).argsort(kind="stable")]
+        shift += 16
+    return order
+
+
+def _layout(a: int, b: int, deg, edges, in_idx, coef, reduceat: bool) -> Layout:
+    """The `Layout` of rows a..b - 1, where row r has deg[r - a] edges.
+
+    `edges` lists the part's edges row by row, each row's in summation
+    order: a slice of in_idx and coef, or an array of their indices.
+    `reduceat` picks the rule the tail is kept for.
+    """
+    size = b - a
+    tail = deg > _DIAGONAL_EDGES
+    n_tail = int(np.count_nonzero(tail))
+    # rows by edge count descending, then the rows without an edge, then the tail
+    by_count = np.where(tail, _DIAGONAL_EDGES + 1, _DIAGONAL_EDGES - deg).astype(np.uint8)
+    by_count = by_count.argsort(kind="stable")
+    r0 = size - n_tail - int(np.count_nonzero(deg == 0))
+    rows = np.concatenate((by_count[:r0], by_count[size - n_tail:]))  # the row in each slot
+    slot = np.full(size, size, dtype=np.int64)
+    slot[rows] = np.arange(rows.size)
+    # diagonal j holds the rows with more than j edges, a prefix of the slots
+    longer = (r0 - np.cumsum(np.bincount(deg[rows[:r0]]))[:-1]).tolist()
+    diags = np.zeros(max(2, len(longer) + 1), dtype=np.int64)  # one diagonal, empty, at least
+    np.cumsum(longer, out=diags[1:len(longer) + 1])
+    # the part's edge, counted row by row, at each place of the layout
+    first = np.zeros(size, dtype=np.int64)
+    np.cumsum(deg[:-1], out=first[1:])
+    place = np.empty(int(deg.sum()), dtype=np.int64)
+    start = first[rows[:r0]]
+    for j, c in enumerate(longer):
+        np.add(start[:c], j, out=place[diags[j]:diags[j] + c])
+    tail_deg = deg[rows[r0:]]
+    place[diags[-1]:] = _ranges(first[rows[r0:]], tail_deg)
+    if isinstance(edges, slice):
+        in_idx, coef = in_idx[edges], coef[edges]
+    else:
+        place = edges[place]
+    tail_starts = out = None
+    if reduceat:
+        tail_starts = np.zeros(n_tail, dtype=np.int64)
+        np.cumsum(tail_deg[:-1], out=tail_starts[1:])
+    else:
+        out = np.concatenate([np.arange(c) for c in longer]
+                             + [np.repeat(np.arange(r0, r0 + n_tail), tail_deg)])
+    part = Layout(a, b, out, in_idx[place], coef[place], slot, diags, tail_starts)
+    for arr in part[2:]:
+        if arr is not None:
             arr.setflags(write=False)
-        parts.append((a, b, *part))
+    return part
+
+
+def partition(out_idx, in_idx, coef, size: int) -> tuple:
+    """The edge list out_idx, in_idx, coef, with out_idx < size, split stably
+    by ranges of out_idx into `_parts(m)` parts of about m/k edges, each a
+    bincount-rule `Layout`.
+
+    Part j covers the edges with a <= out_idx < b, in their order; the
+    ranges tile 0..size, and a range may hold no edge.
+    """
+    deg = np.bincount(out_idx, minlength=size)
+    starts = np.zeros(size + 1, dtype=np.int64)  # edges into bins below i
+    np.cumsum(deg, out=starts[1:])
+    ascending = bool(np.all(out_idx[1:] >= out_idx[:-1]))
+    order = None if ascending else _stable_order(out_idx, size)
+    parts = []
+    for a, b in pairwise(_cuts(starts, _parts(out_idx.size)).tolist()):
+        lo, hi = starts[a], starts[b]
+        edges = slice(lo, hi) if ascending else order[lo:hi]
+        parts.append(_layout(a, b, deg[a:b], edges, in_idx, coef, reduceat=False))
     return tuple(parts)
+
+
+def row_partition(indptr, in_idx, coef, cuts=None) -> tuple:
+    """The CSR rows indptr, in_idx, coef cut at `cuts` (by default into
+    `_parts(m)` ranges of about m/k edges), each a reduceat-rule `Layout`."""
+    if cuts is None:
+        cuts = _cuts(indptr, _parts(in_idx.size))
+    return tuple(_layout(a, b, np.diff(indptr[a:b + 1]), slice(indptr[a], indptr[b]),
+                         in_idx, coef, reduceat=True)
+                 for a, b in pairwise(cuts.tolist()))
+
+
+def _diagonal_bincount(w: np.ndarray, diags: list) -> np.ndarray:
+    """bincount's sums of the diagonal rows, from 0.0 and each row's edges
+    in order, made in place in w: they end up as its first diagonal."""
+    acc = w[:diags[1]]
+    np.add(acc, 0.0, out=acc)
+    for lo, hi in zip(diags[1:-1], diags[2:]):
+        head = acc[:hi - lo]
+        np.add(head, w[lo:hi], out=head)
+    return acc
+
+
+def _diagonal_reduceat(w: np.ndarray, diags: list) -> np.ndarray:
+    """reduceat's sums of the diagonal rows, made in place in w: they end up
+    as its first diagonal.
+
+    A 1-D reduceat segment is its first term plus NumPy's pairwise sum of
+    the r terms after it.  For r < 8 that sum adds them in order from -0.0;
+    for 8 <= r <= 128 it keeps 8 accumulators, acc[i] the sum in order of
+    the terms i, i + 8, ... below 8 * (r // 8), adds them up as
+    ((acc0 + acc1) + (acc2 + acc3)) + ((acc4 + acc5) + (acc6 + acc7)) and
+    then adds the terms left, in order.  Rows come by edge count,
+    descending, so each group of rows is a range of each diagonal.  The
+    accumulators are diagonals 1 to 8; the sum of the terms after the first
+    is made in diagonal 1.
+    """
+    count = [hi - lo for lo, hi in zip(diags[:-1], diags[1:])] + [0] * 9
+
+    def blocked(j):  # the rows whose term j (j >= 1) goes to an accumulator
+        return count[8 * ((j - 1) // 8 + 1)]
+
+    def add(j, lo, hi, into):  # terms lo:hi of diagonal j into those of diagonal `into`
+        acc = w[diags[into] + lo:diags[into] + hi]
+        np.add(acc, w[diags[j] + lo:diags[j] + hi], out=acc)
+
+    width, n8 = len(diags) - 1, count[8]
+    for j in range(9, width):
+        add(j, 0, blocked(j), (j - 1) % 8 + 1)
+    if n8:
+        acc = [w[diags[i]:diags[i] + n8] for i in range(1, 9)]
+        np.add((acc[0] + acc[1]) + (acc[2] + acc[3]), (acc[4] + acc[5]) + (acc[6] + acc[7]),
+               out=acc[0])
+    # the terms left over; a sum from -0.0 holds its first term exactly already
+    for j in range(2, width):
+        if count[j] > blocked(j):
+            add(j, blocked(j), count[j], 1)
+    add(1, 0, count[1], 0)  # the first term plus the sum of the rest
+    return w[:count[0]]
+
+
+def _placed(p: Layout, sums: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
+    """out[a:b] from the diagonal rows' sums and `vals`, b - a + 1 sums by
+    slot that hold the tail's and 0.0 past it (None: no tail)."""
+    if vals is None:
+        if sums.size == p.b - p.a:  # every row is a diagonal row
+            return sums[p.slot]
+        vals = np.zeros(p.b - p.a + 1)
+    vals[:sums.size] = sums
+    return vals[p.slot]
+
+
+def _bincount_sums(p: Layout, w: np.ndarray) -> np.ndarray:
+    diags = p.diags.tolist()
+    t0, vals = diags[-1], None
+    if t0 < w.size:
+        vals = np.bincount(p.out_local[t0:], weights=w[t0:], minlength=p.b - p.a + 1)
+    return _placed(p, _diagonal_bincount(w, diags), vals)
+
+
+def _reduceat_sums(p: Layout, w: np.ndarray) -> np.ndarray:
+    diags = p.diags.tolist()
+    t0, r0, vals = diags[-1], diags[1], None
+    if t0 < w.size:
+        vals = np.zeros(p.b - p.a + 1)
+        vals[r0:r0 + p.tail_starts.size] = np.add.reduceat(w[t0:], p.tail_starts)
+    return _placed(p, _diagonal_reduceat(w, diags), vals)
+
+
+def _run_parts(sums, parts: tuple, v: np.ndarray) -> np.ndarray:
+    """Every part's row sums of its edges' products coef * v[in_idx], a
+    batch column by column."""
+    def column(p, col):
+        w = col[p.in_idx]
+        np.multiply(p.coef, w, out=w)
+        return sums(p, w)
+
+    def run(j):
+        p = parts[j]
+        if v.ndim == 1:
+            return column(p, v)
+        out = np.empty((p.b - p.a, v.shape[1]))
+        for c in range(v.shape[1]):
+            out[:, c] = column(p, v[:, c])
+        return out
+
+    return _joined(_in_parts(run, len(parts)))
 
 
 def scatter(parts: tuple, v) -> np.ndarray:
     """Edge-list product: result[out_idx[e]] += coef[e] * v[in_idx[e]] over
-    the edges of a `partition`, each part writing its own range.
+    the edges of a `partition`, with np.bincount's bits.
 
     `v` is a vector or a batch of columns.  A batch runs column by column:
     one flattened bincount gives the same bits but measured 2-4x slower.
     """
-    def run(j):
-        a, b, out_idx, in_idx, coef = parts[j]
-        sums = []
-        for col in ([v] if v.ndim == 1 else v.T):
-            weights = col[in_idx]
-            np.multiply(coef, weights, out=weights)
-            sums.append(np.bincount(out_idx, weights=weights, minlength=b - a))
-        return sums[0] if v.ndim == 1 else np.stack(sums, axis=1)
+    return _run_parts(_bincount_sums, parts, v)
 
-    return _joined(_in_parts(run, len(parts)))
+
+def reduce_rows(parts: tuple, v) -> np.ndarray:
+    """CSR product: result[i] sums coef[e] * v[in_idx[e]] over row i's edges
+    of a `row_partition`, with the bits of np.add.reduceat over its slice.
+
+    `v` is a vector or a batch of columns, which runs column by column with
+    the bits of a 2-D reduceat.
+    """
+    return _run_parts(_reduceat_sums, parts, v)
 
 
 def apply_p(G: SignedDigraph, v) -> np.ndarray:
     """Apply the signed transition matrix: (Pv)(i) = sum_j sign*w_ij/d_i * v(j).
 
     Accepts a vector of shape (n,) or a batch of columns of shape (n, k).
-    Rows are contiguous CSR slices, so this sums them with reduceat rather
-    than `scatter`: the two add in different orders, and `scatter` here
-    changes the last bits of the trajectories and summaries the CLI writes.
+    Each row is summed with the bits of np.add.reduceat over its CSR slice,
+    not with `scatter`'s: the two add in different orders, and `scatter`
+    here changes the last bits of the trajectories and summaries the CLI
+    writes.
     """
-    v = _check_input(G, v)
-    coef = G.transition_coef if v.ndim == 1 else G.transition_coef[:, None]
-    indptr, targets, cuts = G.indptr, G.targets, G._row_cuts
-
-    def run(j):
-        a, b = cuts[j], cuts[j + 1]
-        lo, hi = indptr[a], indptr[b]
-        w = v[targets[lo:hi]]
-        np.multiply(coef[lo:hi], w, out=w)
-        # no out=: reduceat into a given out holds the GIL
-        return np.add.reduceat(w, indptr[a:b] - lo, axis=0)
-
-    return _joined(_in_parts(run, cuts.size - 1))
+    return reduce_rows(G._row_parts, _check_input(G, v))
 
 
 def apply_p_transpose(G: SignedDigraph, v) -> np.ndarray:

@@ -116,6 +116,9 @@ def select_top(cv: ContributionVector, k: int) -> SeedSet:
         raise ValueError("k must be >= 0")
     c = cv.c
     positive = np.nonzero(c > 0)[0]
+    if 0 < k < positive.size:  # only scores at or above the k-th largest can be chosen
+        score = c[positive]
+        positive = positive[score >= np.partition(score, score.size - k)[score.size - k]]
     chosen = _top(positive, c[positive], k)
     value = float(c[chosen].sum())
     return SeedSet(sorted(int(i) for i in chosen), value, cv.kind)

@@ -12,7 +12,8 @@ law needs no BFS.  The checks and every block of P read edges through
 """
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -59,8 +60,24 @@ class BalanceClass:
         return len(self.nodes) - self.size_s if self.in_s is not None else 0
 
 
+class _WeakGraph:
+    """Holds its graph by a weak reference: the graph caches what holds it
+    (its decomposition, and that its analyses), so a strong one would keep
+    the graph and its cached operators alive until the cyclic GC runs."""
+
+    def _hold(self, graph: SignedDigraph) -> None:
+        self._graph_ref = weakref.ref(graph)
+
+    @property
+    def graph(self) -> SignedDigraph:
+        graph = self._graph_ref()
+        if graph is None:
+            raise ReferenceError(f"the graph of this {type(self).__name__} no longer exists")
+        return graph
+
+
 @dataclass
-class ComponentAnalysis:
+class ComponentAnalysis(_WeakGraph):
     """Long-term facts of one SCC: aperiodicity, balance class, stationary law.
 
     `balance` is None on a periodic component.  `pi` (sinks only) is aligned
@@ -68,10 +85,13 @@ class ComponentAnalysis:
     are shared by every caller and therefore read-only.
     """
 
-    graph: SignedDigraph = field(repr=False)
+    of_graph: InitVar[SignedDigraph]
     nodes: np.ndarray
     aperiodic: bool
     balance: BalanceClass | None
+
+    def __post_init__(self, of_graph):
+        self._hold(of_graph)
 
     @cached_property
     def pi(self) -> np.ndarray:
@@ -117,7 +137,7 @@ class Block:
 
 
 @dataclass
-class Decomposition:
+class Decomposition(_WeakGraph):
     """Condensation of a graph into SCCs with sink bookkeeping.
 
     Components are numbered by their smallest contained node id; each
@@ -128,13 +148,16 @@ class Decomposition:
     holds the long-term facts of component i.  Both are built on first use.
     """
 
-    graph: SignedDigraph
+    of_graph: InitVar[SignedDigraph]
     scc_id: np.ndarray
     components: list
     sink_index: list
     non_sink: np.ndarray
     _blocks: dict = field(default_factory=dict, repr=False)
     _analyses: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self, of_graph):
+        self._hold(of_graph)
 
     @cached_property
     def sinks(self) -> list:
@@ -147,15 +170,15 @@ class Decomposition:
     def analysis(self, i: int) -> ComponentAnalysis:
         """Aperiodicity and balance class of component i, computed on first use."""
         if i not in self._analyses:
-            comp = self.components[i]
-            bfs = _walk(self.graph, comp, *_restrict(self.graph, comp, comp))
-            aperiodic = is_aperiodic(comp, self.graph, _bfs=bfs)
+            G, comp = self.graph, self.components[i]
+            bfs = _walk(G, comp, *_restrict(G, comp, comp))
+            aperiodic = is_aperiodic(comp, G, _bfs=bfs)
             bal = None
             if aperiodic:
-                bal = classify_balance(comp, self.graph, _bfs=bfs)
+                bal = classify_balance(comp, G, _bfs=bfs)
                 if bal.in_s is not None:
                     bal.in_s.setflags(write=False)
-            self._analyses[i] = ComponentAnalysis(self.graph, comp, aperiodic, bal)
+            self._analyses[i] = ComponentAnalysis(G, comp, aperiodic, bal)
         return self._analyses[i]
 
     @cached_property
@@ -182,9 +205,9 @@ class Decomposition:
 
     def _block(self, key, rows: np.ndarray, cols: np.ndarray) -> Block:
         if key not in self._blocks:
-            src, dst, eid = _restrict(self.graph, rows, cols)
-            self._blocks[key] = Block(src, dst, self.graph.transition_coef[eid],
-                                      rows.size, cols.size)
+            G = self.graph
+            src, dst, eid = _restrict(G, rows, cols)
+            self._blocks[key] = Block(src, dst, G.transition_coef[eid], rows.size, cols.size)
         return self._blocks[key]
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, schemas, manifests, reproducibility, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -760,6 +762,30 @@ def test_compare_memory_does_not_grow_with_t(tmp_path):
                            "--trials", "0", "--out", str(tmp_path / f"c{t}")])
              for t in (5, 205)]
     assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+
+def test_compare_frees_its_graph_when_it_returns(wc_graph, tmp_path, monkeypatch):
+    """The graph's decomposition and its component analyses hold the graph
+    weakly, so the graph and its cached operators go with its last
+    reference, without the cyclic collector (four in-process compares once
+    left three graphs alive)."""
+    graphs = []
+    parse_snap = cli.parse_snap
+
+    def parse(*args, **kwargs):
+        parsed = parse_snap(*args, **kwargs)
+        graphs.append(weakref.ref(parsed.graph))
+        return parsed
+
+    monkeypatch.setattr(cli, "parse_snap", parse)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["compare", "--graph", wc_graph, "--k", "3", "--t", "4", "--trials", "20",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert len(graphs) == 1 and graphs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_dynamics_per_node_memory_grows_by_one_float_row_per_step(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import signedvoter as sv
-from signedvoter import graph
+from signedvoter import graph, structure
 from signedvoter.errors import (
     DanglingNode,
     DuplicateEdge,
@@ -403,3 +403,16 @@ def test_parted_products_share_one_pool_of_at_most_threads_minus_one():
         assert len(parted._transpose_parts) == 3 and parted._row_cuts.size == 4
         assert 1 <= len(graph._pool._threads) <= 2
     assert len(results) == 160 and all(r == want for r in results)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_product_of_an_empty_batch_is_empty(k):
+    G = random_graph(np.random.default_rng(3), 30)
+    blk = structure.Block(G.sources[:40] % 7, G.targets[:40], G.transition_coef[:40], 7, G.n)
+    with products_in_parts(k):
+        products = {"apply_p": (lambda v: sv.apply_p(G, v), G.n, G.n),
+                    "apply_p_transpose": (lambda v: sv.apply_p_transpose(G, v), G.n, G.n),
+                    "Block.apply": (blk.apply, blk.ncols, blk.nrows),
+                    "Block.apply_t": (blk.apply_t, blk.nrows, blk.ncols)}
+        for name, (product, size_in, size_out) in products.items():
+            assert product(np.zeros((size_in, 0))).shape == (size_out, 0), name

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import signedvoter as sv
-from signedvoter import simulate, structure
+from signedvoter import graph, simulate, structure
 from signedvoter.structure import BalanceKind
 
 from helpers import (_parse_outcome, _reference_bfs_levels, assert_parses_like_reference, copy_graph,
@@ -315,6 +315,70 @@ def test_products_in_parts_keep_the_bits_of_one_part(G, k, data):
     assert all(np.all(p[2] < p[1] - p[0]) for p in parts)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _summands(rng, size):
+    """Coefficients of ±0.0 and of magnitudes from 1e-300 to 1e300, either
+    sign: times entries of v in [-1, 1], no sum of 300 of them overflows."""
+    coef = rng.choice([1.0, -1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+    coef[rng.random(size) < 0.1] = 0.0
+    coef[rng.random(size) < 0.1] = -0.0
+    return coef
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.one_of(st.integers(0, 20), st.integers(0, 300)), min_size=1, max_size=12),
+       st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+@example([130, 0, 9, 300, 1, 17], 2, True, 0)  # the tail, an empty row, both sum rules
+@example([129, 128, 136, 17, 16, 9, 8, 2], 3, False, 1)  # the pairwise sum's boundaries
+def test_diagonal_sums_keep_the_bits_of_reduceat_and_bincount(degrees, k, shuffle, seed):
+    """The premise of the jagged-diagonal products, pinned against NumPy
+    itself: each row's sum has the bits of np.add.reduceat over its CSR
+    slice (rows with an edge) and of np.bincount (any row), on 1-D vectors
+    and (n, 3) batches, in k parts."""
+    rng = np.random.default_rng(seed)
+    deg = np.array(degrees)
+    n, m = deg.size, int(deg.sum())
+    in_idx = rng.integers(0, n, m)
+    coef = _summands(rng, m)
+    V = rng.uniform(-1.0, 1.0, (n, 3))
+    V[rng.random((n, 3)) < 0.2] = rng.choice([0.0, -0.0])
+    out_idx = np.repeat(np.arange(n), deg)
+    if shuffle:
+        out_idx = rng.permutation(out_idx)
+    with products_in_parts(k):
+        scatter_parts = graph.partition(out_idx, in_idx, coef, n)
+        got = [graph.scatter(scatter_parts, x) for x in (V[:, 0], V)]
+        rows = np.flatnonzero(deg)
+        indptr = np.concatenate(([0], np.cumsum(deg[rows])))
+        csr = np.argsort(out_idx, kind="stable")  # CSR order of the rows with an edge
+        row_parts = graph.row_partition(indptr, in_idx[csr], coef[csr])
+        got += [graph.reduce_rows(row_parts, x) for x in (V[:, 0], V)]
+    assert len(scatter_parts) == min(k, m) or m == 0
+    want = [np.bincount(out_idx, weights=coef * V[in_idx, 0], minlength=n),
+            np.stack([np.bincount(out_idx, weights=coef * V[in_idx, c], minlength=n)
+                      for c in range(3)], axis=1)]
+    if m:
+        w = coef[csr, None] * V[in_idx[csr]]
+        want += [np.add.reduceat(w[:, 0], indptr[:-1]), np.add.reduceat(w, indptr[:-1], axis=0)]
+    else:
+        want += [np.zeros(0), np.zeros((0, 3))]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(0, 45))
+def test_select_top_prefilter_keeps_the_unfiltered_choice(scores, k):
+    """select_top keeps only the scores at or above the k-th largest before
+    its sort; the seeds and value are those of sorting every positive score,
+    ties at the k-th score included (scores 0-4: many ties, some not positive)."""
+    c = np.array(scores, dtype=np.float64) / 4.0
+    got = sv.select_top(sv.ContributionVector(c, "instant", 1), k)
+    positive = np.flatnonzero(c > 0)
+    chosen = positive[np.lexsort((positive, -c[positive]))][:k]
+    assert got.nodes == sorted(chosen.tolist())
+    assert got.value == float(c[chosen].sum())
 
 
 @PROPERTY_SETTINGS

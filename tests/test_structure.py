@@ -427,3 +427,36 @@ def test_shared_cached_arrays_are_read_only():
     again = sv.steady_state(G, x0)
     assert again.x_even.tobytes() == first.x_even.tobytes()
     assert again.x_odd.tobytes() == first.x_odd.tobytes()
+
+
+def test_every_layout_array_is_read_only():
+    """The jagged-diagonal layouts of every product, apply_p's among them,
+    are cached and shared by every caller, in one part and in two, tails
+    (rows of over 129 edges, both ways through the hub) included."""
+    n = 200
+    G = sv.from_edge_list([(0, v, 1) for v in range(1, n)] + [(v, 0, -1) for v in range(1, n)]
+                          + [(v, v % (n - 1) + 1, 1) for v in range(1, n)])
+    for k in (1, 2):
+        with products_in_parts(k):
+            H = copy_graph(G)
+            d = sv.decompose(H)
+            blocks = [d.px()] + [blk for i in range(len(d.sinks)) for blk in (d.py(i), d.pz(i))]
+            blocks.append(structure.Block(H.sources, H.targets, H.transition_coef, n, n))
+            layouts = H._row_parts + H._transpose_parts
+            layouts += tuple(p for blk in blocks for p in blk._parts + blk._t_parts)
+        assert len(H._row_parts) == k and len(H._transpose_parts) == k
+        assert H._row_parts[0].tail_starts.size == 1 and H._transpose_parts[0].slot[0] >= 1
+        arrays = [a for p in layouts for a in p[2:] if a is not None]
+        assert len(arrays) == 5 * len(layouts)  # one of out_local and tail_starts is None
+        assert [a for a in arrays if a.flags.writeable] == []
+
+
+def test_a_decomposition_outlives_its_graph_with_a_one_line_error():
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, -1), (1, 2, 1), (2, 2, 1)])
+    d = sv.decompose(G)
+    facts = d.analysis(0)
+    del G  # no cycle holds it: the decomposition and its analyses hold it weakly
+    for read in (d.px, lambda: d.analysis(1), lambda: facts.graph):
+        with pytest.raises(ReferenceError, match="no longer exists") as err:
+            read()
+        assert "\n" not in str(err.value)
