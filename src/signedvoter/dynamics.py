@@ -14,7 +14,7 @@ Only public `propagate` holds a whole one, (t+1) x n floats, and nothing in
 the package calls it: the limit, the CLI and the objectives hold a few rows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,7 +151,9 @@ class SteadyState:
     `sinks` holds the shared ComponentAnalysis of every sink, in the
     decomposition's order, and `alignment` the inner product of each sink's
     signed stationary law with (x0 - 1/2) on its nodes (0.0 on a strictly
-    unbalanced sink, whose limit does not depend on x0).
+    unbalanced sink, whose limit does not depend on x0).  It holds its
+    graph, which the analyses in `sinks` hold only weakly, so they stay
+    usable (a sink's `pi` included) for as long as the steady state.
     """
 
     kind: str
@@ -160,6 +162,7 @@ class SteadyState:
     sinks: list
     non_sink: np.ndarray
     alignment: list
+    graph: SignedDigraph = field(repr=False, compare=False)
 
     @property
     def x(self) -> np.ndarray:
@@ -227,7 +230,7 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
         kind = "uniform_half"
     else:
         kind = "fixed"
-    return SteadyState(kind, x_even, x_odd, list(decomp.sink_analysis), xs, alignment)
+    return SteadyState(kind, x_even, x_odd, list(decomp.sink_analysis), xs, alignment, G)
 
 
 def oscillation_amplitude(G: SignedDigraph, steady: SteadyState) -> float:

@@ -17,9 +17,9 @@ replaces: `scatter` (the transpose and every block of P in `structure`) that
 of np.bincount, and `reduce_rows` (`apply_p`) that of np.add.reduceat over
 each CSR row.  Rows of over _DIAGONAL_EDGES edges, the tail, are summed by
 those calls themselves.  A layout holds 16 bytes per edge (the gathered
-index and the coefficient) and 8 per node (each row's place in the sums),
-and a bincount-rule layout 8 more per edge (each edge's place, which the
-tail reads).
+index and the coefficient) and 8 per row that has an edge (where its sum
+is written), and a bincount-rule layout 8 more per edge (each edge's place
+in the sums, which the tail reads).
 
 A product of at least _PART_EDGES edges runs in k = min(_threads(),
 m // _PART_EDGES) parts, each over a contiguous range of output nodes: part
@@ -55,6 +55,8 @@ _PART_EDGES = 1 << 18
 # A row of at most this many edges is summed diagonal by diagonal: its first
 # term and one pairwise block of NumPy's reduce, 128 terms (see _diagonal_reduceat).
 _DIAGONAL_EDGES = 129
+# Products of a batch held at once by one part of a product (8 bytes each).
+_BATCH_ENTRIES = 1 << 20
 
 
 def _threads() -> int:
@@ -452,17 +454,19 @@ def _check_input(G: SignedDigraph, v) -> np.ndarray:
 class Layout(NamedTuple):
     """One part of an edge product, writing out[a:b], in jagged-diagonal form.
 
-    The part sums each of its rows (outputs - a) into a place, its slot:
-    first the rows with 1 to _DIAGONAL_EDGES edges, by edge count,
-    descending and stable, then the tail, the rows with more edges, in
-    ascending order.  slot[r] is row r's place, and b - a for a row without
-    edges.  Diagonal j holds the j-th edge, in summation order, of each of
-    the first rows that has more than j: edges diags[j]:diags[j + 1] of
-    in_idx and coef, one per row in slot order.  The tail's edges follow,
-    row by row.  A bincount-rule part keeps each edge's slot in out_local,
-    and a reduceat-rule part the first edge of each tail row after the
-    diagonals in tail_starts; each leaves the other None.  Every array is
-    read-only.
+    The part sums each of its rows (outputs - a) that has an edge into a
+    place, its slot: first the rows with 1 to _DIAGONAL_EDGES edges, by
+    edge count, descending and stable, then the tail, the rows with more
+    edges, in ascending order.  Where every row has an edge, slot[r] is row
+    r's slot, and the output is one gather; otherwise rows[s] is the row
+    summed in slot s, the output is a scatter, and a row without edges is
+    0.0.  One of slot and rows is None.  Diagonal j holds the j-th edge,
+    in summation order, of each of the first rows that has more than j:
+    edges diags[j]:diags[j + 1] of in_idx and coef, one per row in slot
+    order.  The tail's edges follow, row by row.  A bincount-rule part
+    keeps each edge's slot in out_local, and a reduceat-rule part the first
+    edge of each tail row after the diagonals in tail_starts; each leaves
+    the other None.  Every array is read-only.
     """
 
     a: int
@@ -470,7 +474,8 @@ class Layout(NamedTuple):
     out_local: np.ndarray | None
     in_idx: np.ndarray
     coef: np.ndarray
-    slot: np.ndarray
+    slot: np.ndarray | None
+    rows: np.ndarray | None
     diags: np.ndarray
     tail_starts: np.ndarray | None
 
@@ -501,8 +506,6 @@ def _layout(a: int, b: int, deg, edges, in_idx, coef, reduceat: bool) -> Layout:
     by_count = by_count.argsort(kind="stable")
     r0 = size - n_tail - int(np.count_nonzero(deg == 0))
     rows = np.concatenate((by_count[:r0], by_count[size - n_tail:]))  # the row in each slot
-    slot = np.full(size, size, dtype=np.int64)
-    slot[rows] = np.arange(rows.size)
     # diagonal j holds the rows with more than j edges, a prefix of the slots
     longer = (r0 - np.cumsum(np.bincount(deg[rows[:r0]]))[:-1]).tolist()
     diags = np.zeros(max(2, len(longer) + 1), dtype=np.int64)  # one diagonal, empty, at least
@@ -527,7 +530,12 @@ def _layout(a: int, b: int, deg, edges, in_idx, coef, reduceat: bool) -> Layout:
     else:
         out = np.concatenate([np.arange(c) for c in longer]
                              + [np.repeat(np.arange(r0, r0 + n_tail), tail_deg)])
-    part = Layout(a, b, out, in_idx[place], coef[place], slot, diags, tail_starts)
+    slot = None
+    if rows.size == size:  # a gather writes the output faster than a scatter
+        slot = np.empty(size, dtype=np.int64)
+        slot[rows] = np.arange(size)
+        rows = None
+    part = Layout(a, b, out, in_idx[place], coef[place], slot, rows, diags, tail_starts)
     for arr in part[2:]:
         if arr is not None:
             arr.setflags(write=False)
@@ -555,11 +563,9 @@ def partition(out_idx, in_idx, coef, size: int) -> tuple:
     return tuple(parts)
 
 
-def row_partition(indptr, in_idx, coef, cuts=None) -> tuple:
-    """The CSR rows indptr, in_idx, coef cut at `cuts` (by default into
-    `_parts(m)` ranges of about m/k edges), each a reduceat-rule `Layout`."""
-    if cuts is None:
-        cuts = _cuts(indptr, _parts(in_idx.size))
+def row_partition(indptr, in_idx, coef, cuts: np.ndarray) -> tuple:
+    """The CSR rows indptr, in_idx, coef cut at `cuts` (see `_cuts`), each
+    a reduceat-rule `Layout`."""
     return tuple(_layout(a, b, np.diff(indptr[a:b + 1]), slice(indptr[a], indptr[b]),
                          in_idx, coef, reduceat=True)
                  for a, b in pairwise(cuts.tolist()))
@@ -615,48 +621,66 @@ def _diagonal_reduceat(w: np.ndarray, diags: list) -> np.ndarray:
 
 
 def _placed(p: Layout, sums: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
-    """out[a:b] from the diagonal rows' sums and `vals`, b - a + 1 sums by
-    slot that hold the tail's and 0.0 past it (None: no tail)."""
+    """out[a:b] from the diagonal rows' sums and `vals`, the sums of every
+    slot that hold the tail's (None: no tail)."""
     if vals is None:
-        if sums.size == p.b - p.a:  # every row is a diagonal row
-            return sums[p.slot]
-        vals = np.zeros(p.b - p.a + 1)
-    vals[:sums.size] = sums
-    return vals[p.slot]
+        vals = sums
+    else:
+        vals[:sums.shape[0]] = sums
+    if p.slot is not None:
+        return vals[p.slot]
+    out = np.zeros((p.b - p.a,) + vals.shape[1:])
+    out[p.rows] = vals
+    return out
+
+
+def _slots(p: Layout) -> int:
+    return p.b - p.a if p.rows is None else p.rows.size
 
 
 def _bincount_sums(p: Layout, w: np.ndarray) -> np.ndarray:
     diags = p.diags.tolist()
     t0, vals = diags[-1], None
-    if t0 < w.size:
-        vals = np.bincount(p.out_local[t0:], weights=w[t0:], minlength=p.b - p.a + 1)
+    if t0 < w.shape[0]:
+        out_local, size = p.out_local[t0:], _slots(p)
+        if w.ndim == 1:
+            vals = np.bincount(out_local, weights=w[t0:], minlength=size)
+        else:  # bincount takes one column at a time
+            vals = np.empty((size, w.shape[1]))
+            for c in range(w.shape[1]):
+                vals[:, c] = np.bincount(out_local, weights=w[t0:, c], minlength=size)
     return _placed(p, _diagonal_bincount(w, diags), vals)
 
 
 def _reduceat_sums(p: Layout, w: np.ndarray) -> np.ndarray:
     diags = p.diags.tolist()
     t0, r0, vals = diags[-1], diags[1], None
-    if t0 < w.size:
-        vals = np.zeros(p.b - p.a + 1)
-        vals[r0:r0 + p.tail_starts.size] = np.add.reduceat(w[t0:], p.tail_starts)
+    if t0 < w.shape[0]:
+        vals = np.empty((_slots(p),) + w.shape[1:])
+        vals[r0:] = np.add.reduceat(w[t0:], p.tail_starts, axis=0)
     return _placed(p, _diagonal_reduceat(w, diags), vals)
 
 
 def _run_parts(sums, parts: tuple, v: np.ndarray) -> np.ndarray:
-    """Every part's row sums of its edges' products coef * v[in_idx], a
-    batch column by column."""
-    def column(p, col):
-        w = col[p.in_idx]
-        np.multiply(p.coef, w, out=w)
+    """Every part's row sums of its edges' products coef * v[in_idx].
+
+    A batch runs in blocks of columns, each holding at most _BATCH_ENTRIES
+    products (one column, at least): every add of the sums is elementwise,
+    so a column's bits do not depend on the columns beside it.
+    """
+    def block(p, cols):
+        w = cols[p.in_idx]
+        np.multiply(p.coef if cols.ndim == 1 else p.coef[:, None], w, out=w)
         return sums(p, w)
 
     def run(j):
         p = parts[j]
-        if v.ndim == 1:
-            return column(p, v)
+        width = max(1, _BATCH_ENTRIES // max(1, p.in_idx.size))
+        if v.ndim == 1 or v.shape[1] <= width:
+            return block(p, v)
         out = np.empty((p.b - p.a, v.shape[1]))
-        for c in range(v.shape[1]):
-            out[:, c] = column(p, v[:, c])
+        for c in range(0, v.shape[1], width):
+            out[:, c:c + width] = block(p, v[:, c:c + width])
         return out
 
     return _joined(_in_parts(run, len(parts)))
@@ -666,8 +690,8 @@ def scatter(parts: tuple, v) -> np.ndarray:
     """Edge-list product: result[out_idx[e]] += coef[e] * v[in_idx[e]] over
     the edges of a `partition`, with np.bincount's bits.
 
-    `v` is a vector or a batch of columns.  A batch runs column by column:
-    one flattened bincount gives the same bits but measured 2-4x slower.
+    `v` is a vector or a batch of columns; each column has the bits of its
+    own bincount.
     """
     return _run_parts(_bincount_sums, parts, v)
 
@@ -676,8 +700,8 @@ def reduce_rows(parts: tuple, v) -> np.ndarray:
     """CSR product: result[i] sums coef[e] * v[in_idx[e]] over row i's edges
     of a `row_partition`, with the bits of np.add.reduceat over its slice.
 
-    `v` is a vector or a batch of columns, which runs column by column with
-    the bits of a 2-D reduceat.
+    `v` is a vector or a batch of columns; each column has the bits of a
+    2-D reduceat over the batch.
     """
     return _run_parts(_reduceat_sums, parts, v)
 

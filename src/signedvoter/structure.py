@@ -82,7 +82,10 @@ class ComponentAnalysis(_WeakGraph):
 
     `balance` is None on a periodic component.  `pi` (sinks only) is aligned
     with `nodes` and computed on first access.  The balance arrays and `pi`
-    are shared by every caller and therefore read-only.
+    are shared by every caller and therefore read-only.  The analysis holds
+    its graph weakly: once the graph is gone, `graph` and a `pi` not yet
+    computed raise ReferenceError (`dynamics.SteadyState` holds the graph
+    of the analyses it returns).
     """
 
     of_graph: InitVar[SignedDigraph]
@@ -146,6 +149,8 @@ class Decomposition(_WeakGraph):
     Block views restrict the signed transition matrix to non-sink rows
     (px), non-sink-to-sink couplings (py) and each sink (pz); `analysis(i)`
     holds the long-term facts of component i.  Both are built on first use.
+    The decomposition holds its graph weakly, as the graph caches it: once
+    the graph is gone, what is not yet built raises ReferenceError.
     """
 
     of_graph: InitVar[SignedDigraph]

@@ -416,3 +416,25 @@ def test_every_product_of_an_empty_batch_is_empty(k):
                     "Block.apply_t": (blk.apply_t, blk.nrows, blk.ncols)}
         for name, (product, size_in, size_out) in products.items():
             assert product(np.zeros((size_in, 0))).shape == (size_out, 0), name
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("entries", [1, 1000])
+def test_a_batch_in_blocks_of_columns_keeps_the_bits_of_each_column(k, entries, monkeypatch):
+    """A batch runs in blocks of columns of at most _BATCH_ENTRIES products
+    per part (1 or 3 columns here); each column has the bits of its own
+    vector product.  The hub's rows of over 129 edges, both ways, are tails."""
+    n = 200
+    G = sv.from_edge_list([(0, v, 1) for v in range(1, n)] + [(v, 0, -1) for v in range(1, n)]
+                          + [(v, v % (n - 1) + 1, 1) for v in range(1, n)])
+    V = np.random.default_rng(7).uniform(-1.0, 1.0, (n, 7))
+    with products_in_parts(k):
+        H = copy_graph(G)
+        blk = structure.Block(H.sources, H.targets, H.transition_coef, n, n)
+        products = [lambda v: sv.apply_p(H, v), lambda v: sv.apply_p_transpose(H, v),
+                    blk.apply, blk.apply_t]
+        want = [np.stack([f(V[:, c]) for c in range(7)], axis=1) for f in products]
+        monkeypatch.setattr(graph, "_BATCH_ENTRIES", entries)
+        got = [f(V) for f in products]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()

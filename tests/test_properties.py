@@ -352,7 +352,8 @@ def test_diagonal_sums_keep_the_bits_of_reduceat_and_bincount(degrees, k, shuffl
         rows = np.flatnonzero(deg)
         indptr = np.concatenate(([0], np.cumsum(deg[rows])))
         csr = np.argsort(out_idx, kind="stable")  # CSR order of the rows with an edge
-        row_parts = graph.row_partition(indptr, in_idx[csr], coef[csr])
+        cuts = graph._cuts(indptr, graph._parts(m))
+        row_parts = graph.row_partition(indptr, in_idx[csr], coef[csr], cuts)
         got += [graph.reduce_rows(row_parts, x) for x in (V[:, 0], V)]
     assert len(scatter_parts) == min(k, m) or m == 0
     want = [np.bincount(out_idx, weights=coef * V[in_idx, 0], minlength=n),

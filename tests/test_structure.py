@@ -432,7 +432,8 @@ def test_shared_cached_arrays_are_read_only():
 def test_every_layout_array_is_read_only():
     """The jagged-diagonal layouts of every product, apply_p's among them,
     are cached and shared by every caller, in one part and in two, tails
-    (rows of over 129 edges, both ways through the hub) included."""
+    (rows of over 129 edges, both ways through the hub) and rows without
+    edges included."""
     n = 200
     G = sv.from_edge_list([(0, v, 1) for v in range(1, n)] + [(v, 0, -1) for v in range(1, n)]
                           + [(v, v % (n - 1) + 1, 1) for v in range(1, n)])
@@ -442,12 +443,17 @@ def test_every_layout_array_is_read_only():
             d = sv.decompose(H)
             blocks = [d.px()] + [blk for i in range(len(d.sinks)) for blk in (d.py(i), d.pz(i))]
             blocks.append(structure.Block(H.sources, H.targets, H.transition_coef, n, n))
+            sparse = slice(0, 400, 80)  # rows without edges: the layout keeps `rows`, not `slot`
+            blocks.append(structure.Block(H.sources[sparse], H.targets[sparse],
+                                          H.transition_coef[sparse], n, n))
             layouts = H._row_parts + H._transpose_parts
             layouts += tuple(p for blk in blocks for p in blk._parts + blk._t_parts)
         assert len(H._row_parts) == k and len(H._transpose_parts) == k
+        assert any(p.rows is not None for p in layouts) and H._row_parts[0].rows is None
         assert H._row_parts[0].tail_starts.size == 1 and H._transpose_parts[0].slot[0] >= 1
         arrays = [a for p in layouts for a in p[2:] if a is not None]
-        assert len(arrays) == 5 * len(layouts)  # one of out_local and tail_starts is None
+        # one of out_local and tail_starts is None, and one of slot and rows
+        assert len(arrays) == 5 * len(layouts)
         assert [a for a in arrays if a.flags.writeable] == []
 
 
@@ -460,3 +466,16 @@ def test_a_decomposition_outlives_its_graph_with_a_one_line_error():
         with pytest.raises(ReferenceError, match="no longer exists") as err:
             read()
         assert "\n" not in str(err.value)
+
+
+def test_a_steady_state_keeps_its_sinks_usable():
+    """steady_state returns its sinks' shared analyses, which hold the graph
+    weakly; the steady state holds it, so a strictly unbalanced sink's pi,
+    never computed by steady_state, can still be read from it alone."""
+    edges = [(0, 1, 1), (1, 2, 1), (2, 0, -1), (0, 0, 1), (3, 0, 1), (3, 4, 1), (4, 4, 1)]
+    G = sv.from_edge_list(edges)
+    want = [structure.stationary(np.array(nodes), G) for nodes in ([0, 1, 2], [4])]
+    st = sv.steady_state(sv.from_edge_list(edges), np.full(5, 0.25))
+    kinds = [s.balance.kind for s in st.sinks]
+    assert kinds == [BalanceKind.STRICTLY_UNBALANCED, BalanceKind.BALANCED]
+    assert [s.pi.tobytes() for s in st.sinks] == [pi.tobytes() for pi in want]
