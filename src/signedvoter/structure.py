@@ -7,8 +7,11 @@ long-term routines all read it.  Both questions read one directed BFS from
 the component's smallest node, which `analysis(i)` runs once and hands to
 both checks; called on their own, the checks test a node set against the
 cached decomposition in O(k) and run that BFS themselves.  The stationary
-law needs no BFS.  The checks and every block of P read edges through
-`_restrict`, which touches only the CSR rows of the node set.
+law needs no BFS.  Each component's internal edges are cut out of the graph
+once, on first use, into a read-only `EdgeView` that both checks, the
+analysis, `stationary` and the sink block `pz` all read.  The cut reads
+`scc_id` and `rank` over the component's own CSR rows, as does that of
+`py`; `_restrict` serves `px` and node sets a caller supplies.
 """
 
 import math
@@ -16,6 +19,7 @@ import weakref
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,18 +143,42 @@ class Block:
         return m
 
 
+class EdgeView(NamedTuple):
+    """One component's internal edges, cut out of G once and read-only.
+
+    A local CSR over `nodes`: row r's edges are `indptr[r]:indptr[r + 1]`,
+    `dst` holds their targets' local indices, `eid` their global edge ids
+    and `neg` whether their sign is negative, in global edge order.
+    `edges()` equals `_restrict(G, nodes, nodes)` element for element; its
+    local sources are rebuilt from `indptr` on each call, not cached.
+    """
+
+    nodes: np.ndarray
+    indptr: np.ndarray
+    dst: np.ndarray
+    eid: np.ndarray
+    neg: np.ndarray
+
+    def edges(self) -> tuple:
+        """(src, dst, edge ids), as `_restrict` gives them."""
+        return _sources(self.indptr), self.dst, self.eid
+
+
 @dataclass
 class Decomposition(_WeakGraph):
     """Condensation of a graph into SCCs with sink bookkeeping.
 
     Components are numbered by their smallest contained node id; each
-    component array is sorted ascending.  Sinks are components with no
-    outgoing condensation edge; `non_sink` is everything else, sorted.
-    Block views restrict the signed transition matrix to non-sink rows
-    (px), non-sink-to-sink couplings (py) and each sink (pz); `analysis(i)`
-    holds the long-term facts of component i.  Both are built on first use.
-    The decomposition holds its graph weakly, as the graph caches it: once
-    the graph is gone, what is not yet built raises ReferenceError.
+    component array is sorted ascending, and `rank` is each node's index in
+    its component.  Sinks are components with no outgoing condensation
+    edge; `non_sink` is everything else, sorted.  `view(i)` holds component
+    i's internal edges, cut out of the graph once and read by both checks,
+    `analysis(i)`, `stationary` and `pz`.  Block views restrict the signed
+    transition matrix to non-sink rows (px), non-sink-to-sink couplings (py)
+    and each sink (pz); `analysis(i)` holds the long-term facts of component
+    i.  All three are built on first use.  The decomposition holds its graph
+    weakly, as the graph caches it: once the graph is gone, what is not yet
+    built raises ReferenceError.
     """
 
     of_graph: InitVar[SignedDigraph]
@@ -158,8 +186,10 @@ class Decomposition(_WeakGraph):
     components: list
     sink_index: list
     non_sink: np.ndarray
+    rank: np.ndarray
     _blocks: dict = field(default_factory=dict, repr=False)
     _analyses: dict = field(default_factory=dict, repr=False)
+    _views: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self, of_graph):
         self._hold(of_graph)
@@ -176,7 +206,7 @@ class Decomposition(_WeakGraph):
         """Aperiodicity and balance class of component i, computed on first use."""
         if i not in self._analyses:
             G, comp = self.graph, self.components[i]
-            bfs = _walk(G, comp, *_restrict(G, comp, comp))
+            bfs = _walk(self.view(i))
             aperiodic = is_aperiodic(comp, G, _bfs=bfs)
             bal = None
             if aperiodic:
@@ -199,20 +229,56 @@ class Decomposition(_WeakGraph):
                 raise PeriodicComponent(f"sink component containing node {a.nodes[0]} is periodic")
         return out
 
+    def view(self, i: int) -> EdgeView:
+        """Internal edges of component i, cut out of the graph on first use."""
+        if i not in self._views:
+            comp = self.components[i]
+            indptr, dst, eid = self._into(comp, i)
+            neg = self.graph.signs[eid] < 0
+            for a in (indptr, dst, eid, neg):
+                a.setflags(write=False)  # shared by every check of the component
+            self._views[i] = EdgeView(comp, indptr, dst, eid, neg)
+        return self._views[i]
+
+    def _into(self, rows: np.ndarray, i: int) -> tuple:
+        """Edges from `rows` (sorted node ids) into component i as a local
+        CSR: (indptr over rows, dst ranks in component i, edge ids), in
+        global edge order.  Reads the rows' CSR and `scc_id` and `rank` at
+        their targets, no n-sized array of its own."""
+        G = self.graph
+        start = G.indptr[rows]
+        count = G.indptr[rows + 1] - start
+        eid = _ranges(start, count)
+        target = G.targets[eid]
+        keep = self.scc_id[target] == i
+        kept = np.zeros(keep.size + 1, dtype=np.int64)  # kept edges before each position
+        np.cumsum(keep, out=kept[1:])
+        ends = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(count, out=ends[1:])
+        return kept[ends], self.rank[target[keep]], eid[keep]
+
     def px(self) -> Block:
-        return self._block("x", self.non_sink, self.non_sink)
+        x = self.non_sink
+        return self._block("x", x.size, x.size, lambda: _restrict(self.graph, x, x))
 
     def py(self, sink: int) -> Block:
-        return self._block(("y", sink), self.non_sink, self.sinks[sink])
+        x, i = self.non_sink, self.sink_index[sink]
+
+        def cut():
+            indptr, dst, eid = self._into(x, i)
+            return _sources(indptr), dst, eid
+        return self._block(("y", sink), x.size, self.components[i].size, cut)
 
     def pz(self, sink: int) -> Block:
-        return self._block(("z", sink), self.sinks[sink], self.sinks[sink])
+        i = self.sink_index[sink]
+        k = self.components[i].size
+        return self._block(("z", sink), k, k, lambda: self.view(i).edges())
 
-    def _block(self, key, rows: np.ndarray, cols: np.ndarray) -> Block:
+    def _block(self, key, nrows: int, ncols: int, cut) -> Block:
+        """The block `key`, built on first use from `cut()`'s (src, dst, eid)."""
         if key not in self._blocks:
-            G = self.graph
-            src, dst, eid = _restrict(G, rows, cols)
-            self._blocks[key] = Block(src, dst, G.transition_coef[eid], rows.size, cols.size)
+            src, dst, eid = cut()
+            self._blocks[key] = Block(src, dst, self.graph.transition_coef[eid], nrows, ncols)
         return self._blocks[key]
 
 
@@ -278,7 +344,11 @@ def decompose(G: SignedDigraph) -> Decomposition:
     scc_id = renumber[comp_of]
     order = np.argsort(scc_id, kind="stable")
     order.setflags(write=False)  # so is every component, a view of it
-    comps = np.split(order, np.cumsum(np.bincount(scc_id))[:-1])
+    sizes = np.bincount(scc_id)
+    starts = np.cumsum(sizes) - sizes
+    comps = np.split(order, starts[1:])
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n) - np.repeat(starts, sizes)
 
     has_out = np.zeros(n_comps, dtype=bool)
     src = G.sources
@@ -286,9 +356,9 @@ def decompose(G: SignedDigraph) -> Decomposition:
     has_out[scc_id[src[cross]]] = True
     sink_index = np.flatnonzero(~has_out).tolist()
     non_sink = np.nonzero(has_out[scc_id])[0]
-    for a in (scc_id, non_sink):
+    for a in (scc_id, non_sink, rank):
         a.setflags(write=False)  # shared by every caller of the cached decomposition
-    G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink)
+    G._decomposition = Decomposition(G, scc_id, comps, sink_index, non_sink, rank)
     return G._decomposition
 
 
@@ -309,21 +379,28 @@ def _restrict(G: SignedDigraph, rows: np.ndarray, cols: np.ndarray):
     return src[keep], dst[keep], eid[keep]
 
 
-def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray,
-                bit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sources(indptr: np.ndarray) -> np.ndarray:
+    """Local source row of each edge of a local CSR."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray, bit: np.ndarray,
+                indptr: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hop distance from local node 0 along edges src -> dst (-1 where
-    unreached), and the xor of `bit` along each node's BFS-tree path.
+    unreached, int32), and the xor of `bit` along each node's BFS-tree path.
 
     `src` must be ascending, as `_restrict` returns it, so the edges already
-    form a local CSR.  Level-synchronous: each step expands the whole
+    form a local CSR; `indptr` is that CSR's row pointer, built from `src`
+    when not given.  Level-synchronous: each step expands the whole
     frontier at once.  Every edge into a new node writes its index into the
     node's claim slot and the one that stays becomes the tree edge, so each
     node joins the next frontier once; the xor is therefore only meaningful
     where every path agrees.
     """
-    indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
-    level = np.full(k, -1, dtype=np.int64)
+    if indptr is None:
+        indptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+    level = np.full(k, -1, dtype=np.int32)  # a depth is below k
     level[0] = 0
     parity = np.zeros(k, dtype=bool)
     claim = np.empty(k, dtype=np.int64)
@@ -343,30 +420,37 @@ def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray,
     return level, parity
 
 
-def _component(G: SignedDigraph, nodes, what: str):
-    """Sorted nodes and internal edges (local src, dst, edge ids) of a node
-    set; raises unless the set is one SCC of the cached decomposition, that
-    is, unless it is non-empty, its smallest id is a node, and the sorted set
-    equals that node's component."""
-    nodes = np.sort(np.asarray(nodes, dtype=np.int64))
+def _component(G: SignedDigraph, nodes, what: str) -> EdgeView:
+    """The edge view of a node set; raises unless the set is one SCC of the
+    cached decomposition, that is, unless it is non-empty, its smallest id
+    is a node, and the sorted set equals that node's component.  Ids must
+    be integers: a cast would answer for 1 given 1.7, or for 0 given False."""
+    nodes = np.asarray(nodes)
+    if nodes.size and not np.issubdtype(nodes.dtype, np.integer):
+        raise ValueError(f"{what}: node ids must be integers, got dtype {nodes.dtype}")
+    if nodes.ndim == 1 and (nodes[1:] < nodes[:-1]).any():
+        nodes = np.sort(nodes)
     d = decompose(G)
-    if (nodes.size == 0 or not 0 <= nodes[0] < G.n
+    if (nodes.ndim != 1 or nodes.size == 0 or not 0 <= nodes[0] < G.n
             or not np.array_equal(nodes, d.components[d.scc_id[nodes[0]]])):
         raise NotStronglyConnected(f"{what}: node set is not a single SCC")
-    return (nodes, *_restrict(G, nodes, nodes))
+    return d.view(int(d.scc_id[nodes[0]]))
 
 
-def _walk(G: SignedDigraph, nodes, src, dst, eid) -> tuple:
-    """(nodes, src, dst, neg, level, parity): an SCC's internal edges and the
-    one directed BFS from its smallest node that both component checks read."""
-    neg = G.signs[eid] < 0
-    return (nodes, src, dst, neg, *_bfs_levels(nodes.size, src, dst, neg))
+def _walk(view: EdgeView) -> tuple:
+    """(view, src, level, parity): an SCC's edge view, its local sources and
+    the one directed BFS from its smallest node that both checks read."""
+    src = _sources(view.indptr)
+    return (view, src, *_bfs_levels(view.nodes.size, src, view.dst, view.neg, view.indptr))
 
 
 def is_aperiodic(nodes, G: SignedDigraph, *, _bfs: tuple | None = None) -> bool:
-    """True iff the SCC's cycle-length gcd is 1, via BFS level labeling."""
-    _, src, dst, _, level, _ = _bfs or _walk(G, *_component(G, nodes, "is_aperiodic"))
-    return bool(np.gcd.reduce(np.abs(level[src] + 1 - level[dst])) == 1)
+    """True iff the SCC's cycle-length gcd is 1, via BFS level labeling.
+
+    The gcd runs over the distinct gaps level[u] + 1 - level[v] only."""
+    view, src, level, _ = _bfs or _walk(_component(G, nodes, "is_aperiodic"))
+    gaps = np.abs(level[src] + 1 - level[view.dst])
+    return bool(np.gcd.reduce(np.flatnonzero(np.bincount(gaps))) == 1)
 
 
 def classify_balance(nodes, G: SignedDigraph, *, _bfs: tuple | None = None) -> BalanceClass:
@@ -389,7 +473,8 @@ def classify_balance(nodes, G: SignedDigraph, *, _bfs: tuple | None = None) -> B
     up to a swap, so taking S as the nodes colored like node 0 makes it
     canonical.
     """
-    nodes, src, dst, neg, level, p = _bfs or _walk(G, *_component(G, nodes, "classify_balance"))
+    view, src, level, p = _bfs or _walk(_component(G, nodes, "classify_balance"))
+    nodes, dst, neg = view.nodes, view.dst, view.neg
     if np.array_equal(p[src] ^ p[dst], neg):
         return BalanceClass(BalanceKind.BALANCED, nodes, ~p)
     q = p ^ (level & 1).astype(bool)
@@ -415,9 +500,10 @@ def stationary(nodes, G: SignedDigraph) -> np.ndarray:
     when the iteration cap is hit.  The result is checked against
     ||pi^T Pbar - pi^T||_inf <= _STATIONARY_RESIDUAL_TOL.
     """
-    nodes, src, dst, eid = _component(G, nodes, "stationary")
+    view = _component(G, nodes, "stationary")
+    nodes, (src, dst, eid) = view.nodes, view.edges()
     k = nodes.size
-    if eid.size != np.diff(G.indptr)[nodes].sum():
+    if eid.size != (G.indptr[nodes + 1] - G.indptr[nodes]).sum():
         raise NotStronglyConnected("stationary: component has edges leaving the set")
     blk = Block(src, dst, np.abs(G.transition_coef[eid]), k, k)
 

@@ -512,4 +512,7 @@ def reference_decompose(G):
     has_out[scc_id[G.sources[cross]]] = True
     sink_index = [i for i in range(len(comps)) if not has_out[i]]
     non_sink = np.nonzero(has_out[scc_id])[0]
-    return Decomposition(G, scc_id, comps, sink_index, non_sink)
+    rank = np.empty(G.n, dtype=np.int64)
+    for c in comps:
+        rank[c] = np.arange(c.size)
+    return Decomposition(G, scc_id, comps, sink_index, non_sink, rank)

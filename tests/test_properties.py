@@ -239,6 +239,37 @@ def test_decompose_matches_reference_tarjan(G):
 
 
 @st.composite
+def signed_condensations(draw):
+    """A condensation_digraphs graph with a sign drawn for each edge."""
+    G = draw(condensation_digraphs())
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=G.n_edges, max_size=G.n_edges))
+    return sv.from_edge_list(list(zip(G.sources.tolist(), G.targets.tolist(), signs)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(signed_digraphs(), signed_condensations()))
+def test_edge_view_equals_the_restriction(G):
+    """Every component's cached edge view, and every py block cut through
+    `scc_id` and `rank`, equal `_restrict` element for element, with dtypes;
+    repaired singleton sinks and graphs of many components included."""
+    d = sv.decompose(G)
+    assert not d.rank.flags.writeable
+    for i, comp in enumerate(d.components):
+        assert np.array_equal(d.rank[comp], np.arange(comp.size))
+        view = d.view(i)
+        assert view is d.view(i) and view.nodes is comp
+        for got, want in zip(view.edges(), structure._restrict(G, comp, comp)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(view.neg, G.signs[view.eid] < 0)
+        assert [name for name, a in view._asdict().items() if a.flags.writeable] == []
+    for j, sink in enumerate(d.sinks):
+        src, dst, eid = structure._restrict(G, d.non_sink, sink)
+        blk = d.py(j)
+        assert np.array_equal(blk.rows, src) and np.array_equal(blk.cols, dst)
+        assert np.array_equal(blk.coef, G.transition_coef[eid])
+
+
+@st.composite
 def graphs_with_vectors(draw):
     """A random graph plus 2n finite entries to fill test vectors with."""
     G = draw(signed_digraphs())

@@ -150,6 +150,51 @@ def test_empty_or_out_of_range_node_set_is_rejected(nodes):
             fn(nodes, G)
 
 
+@pytest.mark.parametrize("nodes", [np.array([0.4, 1.7]), [0.0, 1.0], [2.5], [True, False],
+                                   np.array([True])])
+def test_node_ids_that_are_not_integers_are_rejected(nodes):
+    # SCCs {0, 1} and {2}: a cast to int64 would answer for {0, 1} given
+    # [0.4, 1.7] or [True, False], and for node 2 given [2.5]
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, -1), (1, 2, 1), (2, 2, 1)])
+    for fn in (sv.is_aperiodic, sv.classify_balance, sv.stationary):
+        with pytest.raises(ValueError, match=f"^{fn.__name__}: node ids must be integers"):
+            fn(nodes, G)
+
+
+def test_each_component_is_cut_out_of_the_graph_once(monkeypatch):
+    """Both checks and analysis(i) on every component, and stationary and
+    pz(i) on every sink, read one cached edge view per component: its edges
+    are cut out of G once, where each read cut them again before (3 times
+    per component, 5 per sink)."""
+    G = copy_graph(build_shape(np.random.default_rng(3), 4, [("balanced", (3, 4)),
+                                                             ("anti_balanced", (2, 3)),
+                                                             ("strictly_unbalanced", (5,))]))
+    d = sv.decompose(G)
+    assert d.n_components == 4
+    cuts = [0] * d.n_components
+    restrict, into = structure._restrict, structure.Decomposition._into
+
+    def counted_restrict(graph, rows, cols):
+        for i, comp in enumerate(d.components):
+            cuts[i] += np.array_equal(rows, comp) and np.array_equal(cols, comp)
+        return restrict(graph, rows, cols)
+
+    def counted_into(self, rows, i):
+        cuts[i] += np.array_equal(rows, self.components[i])
+        return into(self, rows, i)
+
+    monkeypatch.setattr(structure, "_restrict", counted_restrict)
+    monkeypatch.setattr(structure.Decomposition, "_into", counted_into)
+    for i, comp in enumerate(d.components):
+        sv.is_aperiodic(comp, G)
+        sv.classify_balance(comp, G)
+        d.analysis(i)
+    for j, sink in enumerate(d.sinks):
+        sv.stationary(sink, G)
+        d.pz(j)
+    assert cuts == [1] * d.n_components
+
+
 def test_component_checks_run_one_bfs_each(monkeypatch):
     # an SCC of the cached decomposition needs no BFS to prove it is one
     G = small_family(np.random.default_rng(7), "balanced")
