@@ -240,43 +240,66 @@ def from_edge_list(edges, repair_dangling: bool = False) -> SignedDigraph:
         i = int(zero[0])
         raise ZeroWeightEdge(f"edge ({src[i]}, {dst[i]}) has zero weight")
     n = int(max(src.max(), dst.max())) + 1
-    return _build(n, src, dst, w, repair_dangling)[0]
+    return _build(n, src, dst, np.abs(w), _signs(w), repair_dangling)[0]
 
 
-def _build(n: int, src, dst, w, repair_dangling: bool, dedupe: bool = False):
-    """The graph on nodes 0..n-1 with edges src -> dst of signed weight w,
-    and the number of repair self-loops added.
+def _signs(x: np.ndarray) -> np.ndarray:
+    """The int8 sign, +1 or -1, of each nonzero entry of x."""
+    signs = (x > 0).view(np.int8) * np.int8(2)  # np.where takes 12 times as long
+    signs -= 1
+    return signs
 
-    The inputs are trusted: ids in range, weights finite and nonzero, arrays
-    contiguous and owned by the graph from here on.  Edges are sorted by
-    (src, dst) unless they already ascend strictly, which also rules out a
-    repeated pair.  Of a repeated pair, `dedupe` keeps the first in input
-    order and drops the rest; otherwise it raises DuplicateEdge.
+
+def _build(n: int, src, dst, weights, signs, repair_dangling: bool, dedupe: bool = False,
+           count=None):
+    """The graph on nodes 0..n-1 with edges src -> dst of weight `weights`
+    (None: every weight 1.0) and int8 sign `signs`, and the number of repair
+    self-loops added.
+
+    The inputs are trusted: ids in range, weights finite and positive, signs
+    +1 or -1, arrays contiguous and owned by the graph from here on.
+    `count` is np.bincount(src, minlength=n), where the caller has it.
+    Edges are sorted by (src, dst) unless they already ascend strictly,
+    which also rules out a repeated pair.  Of a repeated pair, `dedupe`
+    keeps the first in input order and drops the rest; otherwise it raises
+    DuplicateEdge.
     """
-    missing = np.nonzero(np.bincount(src, minlength=n) == 0)[0]
-    if repair_dangling:
+    if count is None:
+        count = np.bincount(src, minlength=n)
+    missing = np.flatnonzero(count == 0)
+    if repair_dangling and missing.size:
         src = np.concatenate([src, missing])
         dst = np.concatenate([dst, missing])
-        w = np.concatenate([w, np.ones(missing.size)])
+        signs = np.concatenate([signs, np.ones(missing.size, dtype=np.int8)])
+        if weights is not None:
+            weights = np.concatenate([weights, np.ones(missing.size)])
+        count = np.maximum(count, 1)  # one self-loop for each node that had no edge
     step = np.diff(src)
     if not np.all((step > 0) | ((step == 0) & (np.diff(dst) > 0))):
         order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
-        src, dst, w = src[order], dst[order], w[order]
+        src, dst = src[order], dst[order]
         first = np.ones(src.size, dtype=bool)  # the first edge of each (src, dst) pair
         first[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0)
-        if not (dedupe or first.all()):
-            i = int(np.argmin(first))
-            raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
-        src, dst, w = src[first], dst[first], w[first]
+        if not first.all():
+            if not dedupe:
+                i = int(np.argmin(first))
+                raise DuplicateEdge(f"duplicate edge ({src[i]}, {dst[i]})")
+            order, src, dst = order[first], src[first], dst[first]
+            count = np.bincount(src, minlength=n)
+        signs = signs[order]
+        if weights is not None:
+            weights = weights[order]
     if missing.size and not repair_dangling:
         raise DanglingNode(
             f"{missing.size} node(s) without out-edges (first: {missing[:5].tolist()}); "
             "pass repair_dangling=True to add unit self-loops"
         )
-    indptr = np.searchsorted(src, np.arange(n + 1))
-    signs = np.where(w > 0, 1, -1).astype(np.int8)
-    weights = np.abs(w)
-    out_weight = np.bincount(src, weights=weights, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)  # src ascends, so each row follows the last
+    np.cumsum(count, out=indptr[1:])
+    if weights is None:  # a count of unit weights has np.bincount(src, weights=ones)'s bits
+        weights, out_weight = np.ones(src.size), count.astype(np.float64)
+    else:
+        out_weight = np.bincount(src, weights=weights, minlength=n)
     graph = SignedDigraph(n, indptr, dst, weights, signs, out_weight)
     return graph, missing.size  # nonzero only when repairing
 
@@ -313,11 +336,16 @@ def parse_snap(text: str, repair_dangling: bool = False) -> ParsedSnap:
     that is already exactly {0..n-1} is kept verbatim, so serialize
     round-trips exactly.
     """
-    src, dst, sign = _plain_fields(text) or _checked_fields(text)
+    src, dst, sign = _run_fields(text)
+    signs = _signs(sign)
+    del sign
     top = int(max(src.max(), dst.max()))
     # at most 2m ids are used, so a larger top id (perhaps a huge one) is never verbatim
-    if (min(src.min(), dst.min()) == 0 and top < 2 * sign.size
-            and np.all(np.bincount(src, minlength=top + 1) + np.bincount(dst, minlength=top + 1))):
+    verbatim = min(src.min(), dst.min()) == 0 and top < 2 * signs.size
+    if verbatim:  # the ids in use are 0..top; an id with no out-edge may be a target
+        count = np.bincount(src, minlength=top + 1)
+        verbatim = count.all() or np.all(count + np.bincount(dst, minlength=top + 1))
+    if verbatim:
         node_ids = np.arange(top + 1, dtype=np.int64)
     else:
         ends = np.stack((src, dst), axis=1).ravel()  # src and dst of each line, in file order
@@ -326,10 +354,11 @@ def parse_snap(text: str, repair_dangling: bool = False) -> ParsedSnap:
         node_ids = ids[order]
         compact = np.argsort(order)  # the compact id of each sorted id
         src, dst = compact[inverse[0::2]], compact[inverse[1::2]]
-    graph, repaired = _build(node_ids.size, src, dst, np.where(sign > 0, 1.0, -1.0),
-                             repair_dangling, dedupe=True)
+        count = None
+    graph, repaired = _build(node_ids.size, src, dst, None, signs, repair_dangling,
+                             dedupe=True, count=count)
     # repair self-loops are positive, so every negative edge is a parsed one
-    return ParsedSnap(graph, node_ids, sign.size, int(np.count_nonzero(sign < 0)),
+    return ParsedSnap(graph, node_ids, signs.size, int(np.count_nonzero(signs < 0)),
                       graph.n_edges - repaired, graph.n_negative)
 
 
@@ -347,8 +376,8 @@ def _plain_fields(text: str):
     fields of an optional leading `-` and digits, each of magnitude below
     10**18, and no sign is zero.  The comments are blanked, the fields of
     each line counted from the bytes where a field starts, and every field
-    read by NumPy's C text reader in one call.  Any text this rejects,
-    `_checked_fields` reads line by line.
+    read by NumPy's C text reader in one call.  `_checked_fields` reads
+    any run of lines this rejects.
     """
     raw = text.encode("utf-8", "surrogatepass")
     # a blank before the text, so every field starts after a blank, and a final newline
@@ -356,9 +385,10 @@ def _plain_fields(text: str):
     buf[0], buf[-1] = ord(" "), ord("\n")
     buf[1:-1] = np.frombuffer(raw, dtype=np.uint8)
     del raw
-    cr = np.flatnonzero(buf == ord("\r"))
-    if np.any(buf[cr + 1] != ord("\n")):  # in range: the last byte is a \n
-        return None
+    if "\r" in text:
+        cr = np.flatnonzero(buf == ord("\r"))
+        if np.any(buf[cr + 1] != ord("\n")):  # in range: the last byte is a \n
+            return None
     newline = np.flatnonzero(buf == ord("\n"))
     before = np.concatenate(([0], newline[:-1]))  # the byte before each line
     comment = before[buf[before + 1] == ord("#")] + 1
@@ -400,12 +430,49 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _checked_fields(text: str) -> tuple:
-    """The src, dst and sign fields of every edge line, read line by line.
-    Runs only when `_plain_fields` rejects the text, and raises on the first
-    bad line."""
+# Characters of a run of `_run_fields`, at least.  Its bytes stay in cache
+# through the passes of `_plain_fields`: on an Epinions-sized file (15.5 MB,
+# 1.07M edges) runs of 64 KiB read in 127 ms against 152 ms for one pass
+# over the whole text, and runs of 16 KiB in 224 ms, where each run's fixed
+# cost tells.
+_RUN_CHARS = 1 << 16
+
+
+def _run_fields(text: str) -> tuple:
+    r"""The src, dst and sign fields of every edge line, in file order, as
+    three int64 arrays, read in runs of whole lines.
+
+    Each run is the shortest prefix of the rest of the text that holds
+    _RUN_CHARS characters or more and ends after a `\n` (or with the text).
+    `_plain_fields` reads each run, or else `_checked_fields` does, so a
+    non-plain line costs its run, not the text.  `str.splitlines` ends a
+    line at each `\n`, and a cut after one never splits a `\r\n`, so the
+    lines of the runs before add up to the number of the line a run starts
+    on.  Raises on the first bad line.
+    """
+    pieces, lines, counted, start = [], 0, 0, 0
+    while start < len(text):
+        end = text.find("\n", start + _RUN_CHARS - 1) + 1 or len(text)
+        run = text[start:end]
+        fields = _plain_fields(run)
+        if fields is None:
+            lines += text.count("\n", counted, start)  # plain runs end their lines at \n only
+            fields = _checked_fields(run, lines)
+            lines += len(run.splitlines())
+            counted = end
+        pieces.append(fields)
+        start = end
+    if not any(sign.size for _, _, sign in pieces):
+        raise MalformedLine("no edges in input")
+    return tuple(_joined([p[c] for p in pieces]) for c in range(3))
+
+
+def _checked_fields(text: str, before: int) -> tuple:
+    """The src, dst and sign fields of every edge line, read line by line,
+    of a text that `before` lines precede.  Runs only on what
+    `_plain_fields` rejects, and raises on the first bad line."""
     fields = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=before + 1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -420,8 +487,6 @@ def _checked_fields(text: str) -> tuple:
         if not all(-2**63 <= x < 2**63 for x in values):
             raise MalformedLine(f"line {lineno}: field outside the int64 range in {raw!r}")
         fields += values
-    if not fields:
-        raise MalformedLine("no edges in input")
     return tuple(np.array(fields[c::3], dtype=np.int64) for c in range(3))
 
 

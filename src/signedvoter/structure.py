@@ -198,6 +198,10 @@ class Decomposition(_WeakGraph):
     def sinks(self) -> list:
         return [self.components[i] for i in self.sink_index]
 
+    @cached_property
+    def _sink_set(self) -> frozenset:
+        return frozenset(self.sink_index)
+
     @property
     def n_components(self) -> int:
         return len(self.components)
@@ -250,11 +254,13 @@ class Decomposition(_WeakGraph):
         count = G.indptr[rows + 1] - start
         eid = _ranges(start, count)
         target = G.targets[eid]
+        ends = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(count, out=ends[1:])
+        if rows is self.components[i] and i in self._sink_set:
+            return ends, self.rank[target], eid  # every out-edge of a sink stays inside it
         keep = self.scc_id[target] == i
         kept = np.zeros(keep.size + 1, dtype=np.int64)  # kept edges before each position
         np.cumsum(keep, out=kept[1:])
-        ends = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(count, out=ends[1:])
         return kept[ends], self.rank[target[keep]], eid[keep]
 
     def px(self) -> Block:

@@ -238,6 +238,16 @@ def test_parse_snap_reports_first_bad_line_in_file_order():
     assert parsed.node_ids.tolist() == [2**63 - 1, -2**63]
 
 
+_RUN_LINES = graph._RUN_CHARS // 8  # filler lines that fill one run of `_run_fields` exactly
+
+
+def _filled(*parts) -> str:
+    """The text of `parts`, where an int k stands for k filler edge lines of
+    8 characters each, alternately 0 -> 1 and 1 -> 0."""
+    return "".join("0  1  1\n1  0 -1\n" * (p // 2) + "0  1  1\n" * (p % 2)
+                   if isinstance(p, int) else p for p in parts)
+
+
 @pytest.mark.parametrize("text, plain", [
     ("1 0 1\n0 1 -1\n", True),  # verbatim ids, unsorted edges
     ("1 2 1\n2 1 -1\n", True),  # sorted edges, ids from 1
@@ -265,6 +275,20 @@ def test_parse_snap_reports_first_bad_line_in_file_order():
     ("0 1 1\n1 0\n", False),
     ("0 1 1 1\n1 0 1\n", False),
     ("\n  \n", False),
+    # texts of several runs of lines, each cut after a \n
+    pytest.param(_filled(_RUN_LINES, "0  1  x\n", 4), False, id="runs: bad line first in a run"),
+    pytest.param(_filled(_RUN_LINES - 1, "0  1  x\n", 4), False, id="runs: bad line last in a run"),
+    pytest.param(_filled(_RUN_LINES - 1, "0  1 +1\n", "1  0 +1\n", _RUN_LINES), False,
+                 id="runs: non-plain lines last and first in a run"),
+    pytest.param(_filled(2 * _RUN_LINES, "1 0 +1\n", _RUN_LINES, "1 0\n").replace("\n", "\r\n"),
+                 False, id="runs: crlf endings"),
+    pytest.param("# head\n" + _filled(_RUN_LINES, "0 1 +1\n", 2 * _RUN_LINES, "1 0 x\n"), False,
+                 id="runs: head comment"),
+    pytest.param(_filled(2 * _RUN_LINES, "0 1 +1\n", _RUN_LINES, "1 0"), False,
+                 id="runs: no final newline"),
+    pytest.param(_filled(10, "0 1 1\x0c1 0 1\n", 2 * _RUN_LINES, "1 0\n"), False,
+                 id="runs: form feed before a later bad line"),
+    pytest.param(_filled(3 * _RUN_LINES, "1 0 0\n", 5), False, id="runs: zero sign in a later run"),
 ])
 def test_parse_snap_byte_path_boundaries(text, plain):
     """Which texts the byte path reads itself; either way the result is the
@@ -272,6 +296,25 @@ def test_parse_snap_byte_path_boundaries(text, plain):
     assert (_plain_fields(text) is not None) == plain
     for repair in (False, True):
         assert_parses_like_reference(text, repair)
+
+
+def test_a_non_plain_line_costs_only_its_run(monkeypatch):
+    """In runs of 64 characters, the line-by-line reader gets only the run
+    that holds the one non-plain line."""
+    monkeypatch.setattr(graph, "_RUN_CHARS", 64)
+    lines = [f"{i} {(i + 1) % 100} {1 if i % 3 else -1}\n" for i in range(100)]
+    lines[58] = "58 59 +1\n"
+    text = "".join(lines)
+    seen, checked = [], graph._checked_fields
+
+    def spy(run, *args):
+        seen.append(run)
+        return checked(run, *args)
+
+    monkeypatch.setattr(graph, "_checked_fields", spy)
+    assert_parses_like_reference(text)
+    assert len(seen) == 1 and "58 59 +1\n" in seen[0]
+    assert seen[0] in text and seen[0].endswith("\n") and len(seen[0]) < 64 + 10
 
 
 def test_parse_snap_zero_sign_names_its_line():
