@@ -33,6 +33,7 @@ from .errors import GraphDataError, NumericFailure, SignedVoterError, SlowMixing
 from .generate import generate, parse_generator_config
 from .graph import SignedDigraph, indicator, parse_snap, serialize
 from .maximize import (
+    _HEURISTICS,
     contribution_average,
     contribution_instant,
     contribution_longterm,
@@ -89,13 +90,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="signedvoter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("--graph", help="edge-list file (src dst sign, # comments)")
-            p.add_argument("--generate", dest="config",
-                           help="generator config file (key = value lines)")
-            p.add_argument("--repair-dangling", action="store_true",
-                           help="add unit self-loops to nodes without out-edges")
+    def common(p):
+        p.add_argument("--graph", help="edge-list file (src dst sign, # comments)")
+        p.add_argument("--generate", dest="config",
+                       help="generator config file (key = value lines)")
+        p.add_argument("--repair-dangling", action="store_true",
+                       help="add unit self-loops to nodes without out-edges")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
 
     p = sub.add_parser("generate", help="write a synthetic graph as an edge list")
@@ -124,8 +124,7 @@ def _build_parser() -> _Parser:
                    choices=["instant", "average", "longterm", "oscillation"])
     p.add_argument("--t", type=int, default=10, help="horizon for short-term objectives")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--baseline",
-                   choices=["out_degree", "positive_out_degree", "degree_difference", "random"],
+    p.add_argument("--baseline", choices=_HEURISTICS,
                    help="use this heuristic instead of the optimal selection")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--contributions", action="store_true",
@@ -163,8 +162,8 @@ def _load_graph(args) -> SignedDigraph:
 def _check_ranges(args) -> None:
     """Reject out-of-range counts, horizons and seeds before any work starts."""
     low = {"k": 0, "trials": 1 if args.command == "simulate" else 0}
-    if args.command != "maximize" or getattr(args, "baseline", None) == "random":
-        low["rng_seed"] = 0  # other maximize runs never draw random numbers
+    if args.command != "maximize" or (args.baseline and _HEURISTICS[args.baseline] is None):
+        low["rng_seed"] = 0  # among maximize runs only a baseline without a score draws
     if args.command != "maximize":  # maximize reads --t only for short-term objectives
         low["t"] = 0
     short_term = getattr(args, "objective", None) in ("instant", "average")
@@ -346,7 +345,7 @@ def _cmd_compare(args, out: Path) -> None:
     else:
         svim = svim_s(G, args.t, args.k, mode=args.objective)
     methods = [("svim", svim)]
-    for kind in ("out_degree", "positive_out_degree", "degree_difference", "random"):
+    for kind in _HEURISTICS:
         methods.append((kind, heuristic_seeds(G, args.k, kind, rng_seed=args.rng_seed)))
 
     exact = {}

@@ -107,8 +107,8 @@ def parse_generator_config(text: str) -> GeneratorConfig:
     return cfg
 
 
-def _random_distinct_pairs(rng, src_pool, dst_pool, count, taken, forbid_self=True):
-    """Draw `count` distinct directed pairs not already in `taken`."""
+def _random_distinct_pairs(rng, src_pool, dst_pool, count, taken):
+    """Draw `count` distinct directed pairs, no self-loop, not already in `taken`."""
     pairs = []
     guard = 0
     while len(pairs) < count:
@@ -119,7 +119,7 @@ def _random_distinct_pairs(rng, src_pool, dst_pool, count, taken, forbid_self=Tr
         s = src_pool[rng.integers(0, src_pool.size, size=2 * need + 8)]
         t = dst_pool[rng.integers(0, dst_pool.size, size=2 * need + 8)]
         for a, b in zip(s, t):
-            if forbid_self and a == b:
+            if a == b:
                 continue
             key = (int(a), int(b))
             if key in taken:

@@ -112,6 +112,19 @@ def _joined(pieces: list) -> np.ndarray:
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
+def _offsets(count) -> np.ndarray:
+    """The int64 row pointer of a local CSR whose row r holds count[r]
+    entries: 0, then the running totals of count."""
+    ptr = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=ptr[1:])
+    return ptr
+
+
+def _sources(indptr: np.ndarray) -> np.ndarray:
+    """The source row of each entry of a local CSR, the row pointer expanded."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+
+
 @dataclass(eq=False, repr=False)
 class SignedDigraph:
     """Weighted signed digraph with per-node out-edge arrays.
@@ -151,7 +164,7 @@ class SignedDigraph:
         """Per-edge source node id (the CSR row expanded), made on each use:
         only cold paths read it, and a transposed product reads the copy in
         its partition."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        src = _sources(self.indptr)
         src.setflags(write=False)
         return src
 
@@ -294,8 +307,7 @@ def _build(n: int, src, dst, weights, signs, repair_dangling: bool, dedupe: bool
             f"{missing.size} node(s) without out-edges (first: {missing[:5].tolist()}); "
             "pass repair_dangling=True to add unit self-loops"
         )
-    indptr = np.zeros(n + 1, dtype=np.int64)  # src ascends, so each row follows the last
-    np.cumsum(count, out=indptr[1:])
+    indptr = _offsets(count)  # src ascends, so each row follows the last
     if weights is None:  # a count of unit weights has np.bincount(src, weights=ones)'s bits
         weights, out_weight = np.ones(src.size), count.astype(np.float64)
     else:
@@ -556,14 +568,16 @@ def _stable_order(keys: np.ndarray, size: int) -> np.ndarray:
     return order
 
 
-def _layout(a: int, b: int, deg, edges, in_idx, coef, reduceat: bool) -> Layout:
-    """The `Layout` of rows a..b - 1, where row r has deg[r - a] edges.
+def _layout(a: int, b: int, ptr, order, in_idx, coef, reduceat: bool) -> Layout:
+    """The `Layout` of rows a..b - 1, whose edges take the places
+    ptr[r - a]:ptr[r - a + 1] of the edge list, row by row, each row's in
+    summation order.
 
-    `edges` lists the part's edges row by row, each row's in summation
-    order: a slice of in_idx and coef, or an array of their indices.
-    `reduceat` picks the rule the tail is kept for.
+    The edge at place p is edge p of in_idx and coef, or edge order[p]
+    where `order` is given.  `reduceat` picks the rule the tail is kept for.
     """
     size = b - a
+    deg = np.diff(ptr)
     tail = deg > _DIAGONAL_EDGES
     n_tail = int(np.count_nonzero(tail))
     # rows by edge count descending, then the rows without an edge, then the tail
@@ -575,23 +589,18 @@ def _layout(a: int, b: int, deg, edges, in_idx, coef, reduceat: bool) -> Layout:
     longer = (r0 - np.cumsum(np.bincount(deg[rows[:r0]]))[:-1]).tolist()
     diags = np.zeros(max(2, len(longer) + 1), dtype=np.int64)  # one diagonal, empty, at least
     np.cumsum(longer, out=diags[1:len(longer) + 1])
-    # the part's edge, counted row by row, at each place of the layout
-    first = np.zeros(size, dtype=np.int64)
-    np.cumsum(deg[:-1], out=first[1:])
-    place = np.empty(int(deg.sum()), dtype=np.int64)
-    start = first[rows[:r0]]
+    # the place in the edge list of each edge of the layout
+    place = np.empty(int(ptr[-1] - ptr[0]), dtype=np.int64)
+    start = ptr[rows[:r0]]
     for j, c in enumerate(longer):
         np.add(start[:c], j, out=place[diags[j]:diags[j] + c])
     tail_deg = deg[rows[r0:]]
-    place[diags[-1]:] = _ranges(first[rows[r0:]], tail_deg)
-    if isinstance(edges, slice):
-        in_idx, coef = in_idx[edges], coef[edges]
-    else:
-        place = edges[place]
+    place[diags[-1]:] = _ranges(ptr[rows[r0:]], tail_deg)
+    if order is not None:
+        place = order[place]
     tail_starts = out = None
     if reduceat:
-        tail_starts = np.zeros(n_tail, dtype=np.int64)
-        np.cumsum(tail_deg[:-1], out=tail_starts[1:])
+        tail_starts = _offsets(tail_deg)[:-1]
     else:
         out = np.concatenate([np.arange(c) for c in longer]
                              + [np.repeat(np.arange(r0, r0 + n_tail), tail_deg)])
@@ -615,24 +624,17 @@ def partition(out_idx, in_idx, coef, size: int) -> tuple:
     Part j covers the edges with a <= out_idx < b, in their order; the
     ranges tile 0..size, and a range may hold no edge.
     """
-    deg = np.bincount(out_idx, minlength=size)
-    starts = np.zeros(size + 1, dtype=np.int64)  # edges into bins below i
-    np.cumsum(deg, out=starts[1:])
+    starts = _offsets(np.bincount(out_idx, minlength=size))  # edges into bins below i
     ascending = bool(np.all(out_idx[1:] >= out_idx[:-1]))
     order = None if ascending else _stable_order(out_idx, size)
-    parts = []
-    for a, b in pairwise(_cuts(starts, _parts(out_idx.size)).tolist()):
-        lo, hi = starts[a], starts[b]
-        edges = slice(lo, hi) if ascending else order[lo:hi]
-        parts.append(_layout(a, b, deg[a:b], edges, in_idx, coef, reduceat=False))
-    return tuple(parts)
+    return tuple(_layout(a, b, starts[a:b + 1], order, in_idx, coef, reduceat=False)
+                 for a, b in pairwise(_cuts(starts, _parts(out_idx.size)).tolist()))
 
 
 def row_partition(indptr, in_idx, coef, cuts: np.ndarray) -> tuple:
     """The CSR rows indptr, in_idx, coef cut at `cuts` (see `_cuts`), each
     a reduceat-rule `Layout`."""
-    return tuple(_layout(a, b, np.diff(indptr[a:b + 1]), slice(indptr[a], indptr[b]),
-                         in_idx, coef, reduceat=True)
+    return tuple(_layout(a, b, indptr[a:b + 1], None, in_idx, coef, reduceat=True)
                  for a, b in pairwise(cuts.tolist()))
 
 

@@ -175,31 +175,34 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
     return SeedSet(sorted(best_nodes), amp, "oscillation")
 
 
-_HEURISTICS = ("out_degree", "positive_out_degree", "degree_difference", "random")
+# The baselines by name, each with a node's score from the graph G and the
+# node's positive out-weight pos.
+_HEURISTICS = {
+    "out_degree": lambda G, pos: G.out_weight,
+    "positive_out_degree": lambda G, pos: pos,
+    "degree_difference": lambda G, pos: pos - (G.out_weight - pos),
+    "random": None,  # no score: the seeds are drawn uniformly at random
+}
 
 
 def heuristic_seeds(G: SignedDigraph, k: int, kind: str, rng_seed: int | None = None) -> SeedSet:
     """Baseline selections by degree scores or uniformly at random.
 
     Always returns exactly min(k, n) nodes regardless of score sign; value
-    is the sum of the scores of the chosen nodes (0 for 'random').
+    is the sum of the scores of the chosen nodes (0 for a random choice).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if kind not in _HEURISTICS:
         raise ValueError(f"unknown heuristic {kind!r}")
     k = min(k, G.n)
-    if kind == "random":
+    score = _HEURISTICS[kind]
+    if score is None:
         rng = np.random.default_rng(rng_seed)
         chosen = rng.choice(G.n, size=k, replace=False)
-        return SeedSet(sorted(int(i) for i in chosen), 0.0, "heuristic:random")
+        return SeedSet(sorted(int(i) for i in chosen), 0.0, f"heuristic:{kind}")
     pos = np.bincount(G.sources, weights=np.where(G.signs > 0, G.weights, 0.0), minlength=G.n)
-    neg = G.out_weight - pos
-    score = {
-        "out_degree": G.out_weight,
-        "positive_out_degree": pos,
-        "degree_difference": pos - neg,
-    }[kind]
+    score = score(G, pos)
     order = _top(np.arange(G.n), score, k)
     return SeedSet(sorted(int(i) for i in order), float(score[order].sum()), f"heuristic:{kind}")
 

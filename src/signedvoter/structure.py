@@ -11,7 +11,9 @@ law needs no BFS.  Each component's internal edges are cut out of the graph
 once, on first use, into a read-only `EdgeView` that both checks, the
 analysis, `stationary` and the sink block `pz` all read.  The cut reads
 `scc_id` and `rank` over the component's own CSR rows, as does that of
-`py`; `_restrict` serves `px` and node sets a caller supplies.
+`py`.  A node set that a caller hands to a check or to `stationary` must be
+one component, and reads that component's view.  `_restrict` cuts only
+`px`; the tests also read it as a reference for the views.
 """
 
 import math
@@ -24,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
-from .graph import SignedDigraph, _ranges, partition, scatter
+from .graph import SignedDigraph, _offsets, _ranges, _sources, partition, scatter
 
 
 class BalanceKind(Enum):
@@ -254,14 +256,11 @@ class Decomposition(_WeakGraph):
         count = G.indptr[rows + 1] - start
         eid = _ranges(start, count)
         target = G.targets[eid]
-        ends = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(count, out=ends[1:])
+        ends = _offsets(count)
         if rows is self.components[i] and i in self._sink_set:
             return ends, self.rank[target], eid  # every out-edge of a sink stays inside it
-        keep = self.scc_id[target] == i
-        kept = np.zeros(keep.size + 1, dtype=np.int64)  # kept edges before each position
-        np.cumsum(keep, out=kept[1:])
-        return kept[ends], self.rank[target[keep]], eid[keep]
+        keep = self.scc_id[target] == i  # kept edges before each row's end give its pointer
+        return _offsets(keep)[ends], self.rank[target[keep]], eid[keep]
 
     def px(self) -> Block:
         x = self.non_sink
@@ -351,7 +350,7 @@ def decompose(G: SignedDigraph) -> Decomposition:
     order = np.argsort(scc_id, kind="stable")
     order.setflags(write=False)  # so is every component, a view of it
     sizes = np.bincount(scc_id)
-    starts = np.cumsum(sizes) - sizes
+    starts = _offsets(sizes)[:-1]
     comps = np.split(order, starts[1:])
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n) - np.repeat(starts, sizes)
@@ -381,13 +380,8 @@ def _restrict(G: SignedDigraph, rows: np.ndarray, cols: np.ndarray):
     loc[cols] = np.arange(cols.size)
     dst = loc[G.targets[eid]]
     keep = dst >= 0
-    src = np.repeat(np.arange(rows.size), count)
+    src = np.repeat(np.arange(rows.size, dtype=np.int64), count)
     return src[keep], dst[keep], eid[keep]
-
-
-def _sources(indptr: np.ndarray) -> np.ndarray:
-    """Local source row of each edge of a local CSR."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray, bit: np.ndarray,
@@ -404,8 +398,7 @@ def _bfs_levels(k: int, src: np.ndarray, dst: np.ndarray, bit: np.ndarray,
     where every path agrees.
     """
     if indptr is None:
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=k), out=indptr[1:])
+        indptr = _offsets(np.bincount(src, minlength=k))
     level = np.full(k, -1, dtype=np.int32)  # a depth is below k
     level[0] = 0
     parity = np.zeros(k, dtype=bool)

@@ -577,6 +577,14 @@ def test_generate_rejects_two_graph_sources(bal_cfg, wc_graph, tmp_path, capsys)
     assert not (out / "graph.edges").exists()
 
 
+def test_generate_needs_a_config(wc_graph, tmp_path, capsys):
+    """generate writes the graph a config makes; a graph file alone is a usage error."""
+    out = tmp_path / "g"
+    assert main(["generate", "--graph", wc_graph, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: generate needs --generate CONFIG\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("line, message", [
     ("seed = -1", "seed must be >= 0, got -1"),
     ("cross_edges = -5", "cross_edges must be >= 0, got -5"),

@@ -365,3 +365,13 @@ def test_only_vectors_and_column_batches_are_distributions(call, shape):
     want = r"^(distribution|vector) of shape .*: want \(n,\) or \(n, k\)$"
     with pytest.raises(ValueError, match=want):
         call(G, np.full(shape, 0.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda G, x: sv.step(G, x),
+    lambda G, x: sv.propagate(G, x, 2),
+], ids=["step", "propagate"])
+def test_finite_distributions_outside_the_unit_interval_are_rejected(call):
+    G = sv.from_edge_list([(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 0, 1)])
+    with pytest.raises(ValueError, match=r"^color distribution entries outside \[0, 1\]$"):
+        call(G, np.array([0.5, 1.5, 0.0]))

@@ -481,3 +481,15 @@ def test_a_batch_in_blocks_of_columns_keeps_the_bits_of_each_column(k, entries, 
         got = [f(V) for f in products]
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("size", [1000, (1 << 16) + 3, 1 << 20])
+def test_stable_order_matches_a_stable_argsort_past_one_digit(size):
+    """`_stable_order` sorts by 16-bit digits, so a size past 2**16 takes a
+    second pass over the high digit; tied keys keep their input order.  The
+    pool holds keys that share their low digit and differ in the high one."""
+    rng = np.random.default_rng(size)
+    pool = np.concatenate([rng.integers(0, size, 200), [0, 1, size - 1, (size - 1) & 0xFFFF]])
+    keys = rng.choice(pool, 20_000)
+    order = graph._stable_order(keys, size)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))

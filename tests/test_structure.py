@@ -524,3 +524,25 @@ def test_a_steady_state_keeps_its_sinks_usable():
     kinds = [s.balance.kind for s in st.sinks]
     assert kinds == [BalanceKind.STRICTLY_UNBALANCED, BalanceKind.BALANCED]
     assert [s.pi.tobytes() for s in st.sinks] == [pi.tobytes() for pi in want]
+
+
+@pytest.mark.parametrize("family", ["balanced", "anti_balanced", "strictly_unbalanced",
+                                    "disconnected_with_wcc"])
+def test_checks_read_a_component_given_in_any_order(family):
+    """A component's ids reversed or shuffled give the sorted ids' answers,
+    and `stationary` the same bytes: the checks sort what they are given."""
+    rng = np.random.default_rng(8)
+    G = small_family(rng, family)
+    d = sv.decompose(G)
+    for i, comp in enumerate(d.components):
+        sink = i in d.sink_index
+        aperiodic, bal = sv.is_aperiodic(comp, G), sv.classify_balance(comp, G)
+        pi = sv.stationary(comp, G) if sink else None
+        for nodes in (comp[::-1], rng.permutation(comp)):
+            assert sv.is_aperiodic(nodes, G) == aperiodic
+            got = sv.classify_balance(nodes, G)
+            assert got.kind == bal.kind and np.array_equal(got.nodes, comp)
+            assert (got.in_s is None) == (bal.in_s is None)
+            assert bal.in_s is None or np.array_equal(got.in_s, bal.in_s)
+            if sink:
+                assert sv.stationary(nodes, G).tobytes() == pi.tobytes()
