@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LeftUnitInterval, NoConvergence, SlowMixing, WrongKind
 from .graph import SignedDigraph, apply_p
-from .structure import BalanceKind, Decomposition, decompose
+from .structure import _DENSE_SOLVE_NODES, BalanceKind, Decomposition, decompose
 
 # Violations of [0, 1] beyond this are a bug in the graph invariants, not
 # roundoff, and raise instead of being clamped away.
@@ -108,7 +108,7 @@ def solve_coupling(decomp: Decomposition, rhs: np.ndarray, op_sign: int) -> np.n
 
     P_X^t -> 0 because every non-sink node leaks probability into some sink,
     so u <- rhs + op_sign * P_X u converges; on cap hit a direct dense solve
-    takes over for |X| <= 2000.  rhs may carry multiple columns.
+    takes over for |X| <= _DENSE_SOLVE_NODES.  rhs may carry multiple columns.
     """
     px = decomp.px()
     nx = decomp.non_sink.size
@@ -119,9 +119,8 @@ def solve_coupling(decomp: Decomposition, rhs: np.ndarray, op_sign: int) -> np.n
         u = nxt
         if delta <= _COUPLING_TOL:
             return u
-    if nx <= 2000:
-        eye = np.eye(nx)
-        return np.linalg.solve(eye - op_sign * px.dense(), rhs)
+    if nx <= _DENSE_SOLVE_NODES:
+        return np.linalg.solve(np.eye(nx) - op_sign * px.dense(), rhs)
     raise NoConvergence(f"coupling series did not converge on |X|={nx}")
 
 

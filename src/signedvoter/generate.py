@@ -195,8 +195,7 @@ def _check_layout(G: SignedDigraph, layout) -> SignedDigraph:
 def _build_once(cfg: GeneratorConfig, rng) -> SignedDigraph:
     sizes = cfg.sizes
     epn = cfg.edges_per_node
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    parts = [np.arange(offsets[i], offsets[i + 1], dtype=np.int64) for i in range(len(sizes))]
+    parts = np.split(np.arange(sum(sizes), dtype=np.int64), np.cumsum(sizes)[:-1])
     taken: set = set()
 
     if cfg.family in ("balanced", "anti_balanced", "strictly_unbalanced"):

@@ -31,6 +31,7 @@ output entry is summed over the same edges in the same order as in one
 part, so the bits do not depend on k.
 """
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -57,6 +58,7 @@ _PART_EDGES = 1 << 18
 _DIAGONAL_EDGES = 129
 # Products of a batch held at once by one part of a product (8 bytes each).
 _BATCH_ENTRIES = 1 << 20
+_MAX_NODES = math.isqrt(2**63 - 1)  # nodes, at most: the edge key src * n + dst fits int64
 
 
 def _threads() -> int:
@@ -272,11 +274,13 @@ def _build(n: int, src, dst, weights, signs, repair_dangling: bool, dedupe: bool
     The inputs are trusted: ids in range, weights finite and positive, signs
     +1 or -1, arrays contiguous and owned by the graph from here on.
     `count` is np.bincount(src, minlength=n), where the caller has it.
-    Edges are sorted by (src, dst) unless they already ascend strictly,
-    which also rules out a repeated pair.  Of a repeated pair, `dedupe`
-    keeps the first in input order and drops the rest; otherwise it raises
-    DuplicateEdge.
+    Edges are sorted by their key src * n + dst unless it already ascends
+    strictly, which also rules out a repeated pair.  Of a repeated pair,
+    `dedupe` keeps the first in input order and drops the rest; otherwise
+    it raises DuplicateEdge.
     """
+    if n > _MAX_NODES:  # before any n-sized array
+        raise MalformedLine(f"{n} nodes: the int64 edge key allows at most {_MAX_NODES}")
     if count is None:
         count = np.bincount(src, minlength=n)
     missing = np.flatnonzero(count == 0)
@@ -287,12 +291,11 @@ def _build(n: int, src, dst, weights, signs, repair_dangling: bool, dedupe: bool
         if weights is not None:
             weights = np.concatenate([weights, np.ones(missing.size)])
         count = np.maximum(count, 1)  # one self-loop for each node that had no edge
-    step = np.diff(src)
-    if not np.all((step > 0) | ((step == 0) & (np.diff(dst) > 0))):
-        order = np.lexsort((dst, src))  # stable: a repeated pair keeps its input order
+    key = src * n + dst
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")  # a repeated pair keeps its input order
         src, dst = src[order], dst[order]
-        first = np.ones(src.size, dtype=bool)  # the first edge of each (src, dst) pair
-        first[1:] = (np.diff(src) != 0) | (np.diff(dst) != 0)
+        first = np.diff(key[order], prepend=-1) != 0  # the first edge of each (src, dst) pair
         if not first.all():
             if not dedupe:
                 i = int(np.argmin(first))
@@ -587,8 +590,7 @@ def _layout(a: int, b: int, ptr, order, in_idx, coef, reduceat: bool) -> Layout:
     rows = np.concatenate((by_count[:r0], by_count[size - n_tail:]))  # the row in each slot
     # diagonal j holds the rows with more than j edges, a prefix of the slots
     longer = (r0 - np.cumsum(np.bincount(deg[rows[:r0]]))[:-1]).tolist()
-    diags = np.zeros(max(2, len(longer) + 1), dtype=np.int64)  # one diagonal, empty, at least
-    np.cumsum(longer, out=diags[1:len(longer) + 1])
+    diags = _offsets(longer or [0])  # one diagonal, empty, at least
     # the place in the edge list of each edge of the layout
     place = np.empty(int(ptr[-1] - ptr[0]), dtype=np.int64)
     start = ptr[rows[:r0]]

@@ -92,9 +92,8 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
     if not balanced:
         return ContributionVector(c, "longterm")
 
-    nx = decomp.non_sink.size
     ub_mass = np.zeros(len(balanced))
-    if nx:
+    if decomp.non_sink.size:
         rhs = np.stack([decomp.py(i).apply(sink.balance.signs) for i, sink in balanced], axis=1)
         ub = solve_coupling(decomp, rhs, +1)
         ub_mass = ub.sum(axis=0)
@@ -103,6 +102,16 @@ def contribution_longterm(G: SignedDigraph) -> ContributionVector:
         scale = ub_mass[col] + bal.size_s - bal.size_sbar
         c[bal.nodes] = scale * (bal.signs * sink.pi)
     return ContributionVector(c, "longterm")
+
+
+# The objectives whose seeds are the top of a contribution vector, each with that
+# vector of G at horizon t, found by module name at call time so that patches apply.
+_SHORT_TERM = {
+    "instant": lambda G, t: contribution_instant(G, t),
+    "average": lambda G, t: contribution_average(G, t),
+}
+_CONTRIBUTIONS = {**_SHORT_TERM, "longterm": lambda G, t: contribution_longterm(G)}
+_OBJECTIVES = (*_CONTRIBUTIONS, "oscillation")
 
 
 def _top(ids: np.ndarray, score: np.ndarray, k: int) -> np.ndarray:
@@ -126,13 +135,9 @@ def select_top(cv: ContributionVector, k: int) -> SeedSet:
 
 def svim_s(G: SignedDigraph, t: int, k: int, mode: str = "instant") -> SeedSet:
     """Exact short-term seed selection for the instant or average objective."""
-    if mode == "instant":
-        cv = contribution_instant(G, t)
-    elif mode == "average":
-        cv = contribution_average(G, t)
-    else:
+    if mode not in _SHORT_TERM:
         raise ValueError(f"unknown mode {mode!r}")
-    return select_top(cv, k)
+    return select_top(_SHORT_TERM[mode](G, t), k)
 
 
 def svim_l(G: SignedDigraph, k: int) -> SeedSet:
@@ -209,7 +214,7 @@ def heuristic_seeds(G: SignedDigraph, k: int, kind: str, rng_seed: int | None = 
 
 def _objective_totals(G: SignedDigraph, x0: np.ndarray, objective: str, t: int | None):
     """Objective total of each column of x0, by exact propagation."""
-    if objective in ("instant", "average"):  # keeps (t+1) x k column totals, no trajectory
+    if objective in _SHORT_TERM:  # keeps (t+1) x k column totals, no trajectory
         totals = np.array([x.sum(axis=0) for x in itertools.islice(_trajectory(G, x0), t + 1)])
         return totals[t] if objective == "instant" else totals.mean(axis=0)
     if objective == "longterm":
@@ -223,7 +228,7 @@ def evaluate_seed_set(G: SignedDigraph, nodes, objective: str, t: int | None = N
 
     The seeded and the ground (no-seed) runs propagate as two columns.
     """
-    if objective in ("instant", "average") and t is None:
+    if objective in _SHORT_TERM and t is None:
         raise ValueError("short-term objectives need t")
     x0 = np.stack([indicator(G.n, nodes), np.zeros(G.n)], axis=1)
     totals = _objective_totals(G, x0, objective, t)
@@ -242,7 +247,7 @@ def brute_force_opt(G: SignedDigraph, objective: str, k: int, t: int | None = No
         raise TooLarge(f"brute force gated to n <= 20, got n={G.n}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if objective in ("instant", "average") and (t is None or t < 1):
+    if objective in _SHORT_TERM and (t is None or t < 1):
         raise ValueError("short-term objectives need t >= 1")
     sets = [()]
     for size in range(1, min(k, G.n) + 1):
@@ -254,8 +259,5 @@ def brute_force_opt(G: SignedDigraph, objective: str, k: int, t: int | None = No
     totals = _objective_totals(G, x0, objective, t)
     values = totals - totals[0]  # column 0 is the empty set: the ground run
 
-    best = 0
-    for j in range(1, len(sets)):
-        if values[j] > values[best]:
-            best = j
+    best = int(np.argmax(values))  # the first of the largest
     return SeedSet(list(sets[best]), float(values[best]), objective)

@@ -488,6 +488,7 @@ def _power_iteration_cap(k: int) -> int:
 
 _STATIONARY_TOL = 1e-12  # per-entry change that stops the power iteration
 _STATIONARY_RESIDUAL_TOL = 1e-10  # accepted ||pi^T Pbar - pi^T||_inf
+_DENSE_SOLVE_NODES = 2000  # the most nodes solved densely where an iteration stalls
 
 
 def stationary(nodes, G: SignedDigraph) -> np.ndarray:
@@ -495,9 +496,9 @@ def stationary(nodes, G: SignedDigraph) -> np.ndarray:
 
     Power iteration on the transpose of the unsigned transition matrix with
     a per-entry change threshold; falls back to a direct solve of
-    (Pbar^T - I) pi = 0, sum(pi) = 1 for components of at most 2000 nodes
-    when the iteration cap is hit.  The result is checked against
-    ||pi^T Pbar - pi^T||_inf <= _STATIONARY_RESIDUAL_TOL.
+    (Pbar^T - I) pi = 0, sum(pi) = 1 for components of at most
+    _DENSE_SOLVE_NODES when the iteration cap is hit.  The result is
+    checked against ||pi^T Pbar - pi^T||_inf <= _STATIONARY_RESIDUAL_TOL.
     """
     view = _component(G, nodes, "stationary")
     nodes, (src, dst, eid) = view.nodes, view.edges()
@@ -518,7 +519,7 @@ def stationary(nodes, G: SignedDigraph) -> np.ndarray:
     if residual > _STATIONARY_RESIDUAL_TOL:
         # cap hit, or a small spectral gap stalled the per-entry change
         # before the iterate was accurate: direct solve for small components
-        if k > 2000:
+        if k > _DENSE_SOLVE_NODES:
             raise NoConvergence(
                 f"stationary: residual {residual:.3e} on component of {k} nodes"
             )

@@ -1,5 +1,6 @@
 """Graph construction, parsing, and the matrix-free transition operator."""
 
+import math
 import sys
 import threading
 import time
@@ -149,6 +150,34 @@ def test_parse_snap_deduplicates_keeping_first():
     assert parsed.graph.n_edges == 2
     sl = parsed.graph.out_slice(0)
     assert parsed.graph.signs[sl].tolist() == [-1]  # first occurrence wins
+
+
+def test_parse_snap_places_appended_lines_and_keeps_the_first_of_a_repeat():
+    """A sorted body with lines appended after it, into new ids, from one,
+    and repeating an earlier pair with the other sign: the stable sort
+    places the appended lines and keeps the body's copy of the pair."""
+    G = random_graph(np.random.default_rng(3), 40, 160)
+    u, v = G.sources[7], G.targets[7]
+    tail = f"3 40 1\n17 41 -1\n40 5 -1\n{u} {v} {-G.signs[7]}\n0 42 1\n"
+    for repair in (False, True):
+        assert_parses_like_reference(sv.serialize(G) + tail, repair)
+    parsed = sv.parse_snap(sv.serialize(G) + tail, repair_dangling=True)
+    row = parsed.graph.out_slice(u)
+    assert parsed.graph.signs[row][parsed.graph.targets[row] == v].tolist() == [G.signs[7]]
+
+
+def test_from_edge_list_names_the_smallest_repeated_pair():
+    edges = [(3, 1, 1), (0, 2, 1), (3, 1, -1), (2, 0, 1), (0, 2, -1), (1, 3, 1)]
+    with pytest.raises(DuplicateEdge, match=r"^duplicate edge \(0, 2\)$"):
+        sv.from_edge_list(edges)
+
+
+def test_from_edge_list_rejects_ids_past_the_edge_key_bound():
+    """src * n + dst must fit int64; a larger n fails before any n-sized array."""
+    assert graph._MAX_NODES == math.isqrt(2**63 - 1)
+    with pytest.raises(MalformedLine, match=f"^{2**62 + 1} nodes: .* {graph._MAX_NODES}$") as err:
+        sv.from_edge_list([(0, 2**62, 1), (2**62, 0, 1)])
+    assert "\n" not in str(err.value)
 
 
 def test_parse_snap_malformed():
