@@ -3,7 +3,9 @@
 Subcommands: generate, classify, dynamics, simulate, maximize, compare.
 Every run writes a manifest.json recording the command, parameters, seeds,
 tool version and wall-clock duration; deterministic subcommands reproduce
-their output files byte-for-byte when replayed.
+their output files byte-for-byte when replayed.  The steady-state outputs
+and oscillation_seeds' score are BLAS dots, whose bits follow the OpenBLAS
+thread count; OPENBLAS_NUM_THREADS=1 pins them.
 
 Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
 the command draws random numbers), 2 data error (parsing, a file that is not
@@ -21,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -74,17 +75,6 @@ class ClosedOutput(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1 here
         raise UsageError(message)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    graph_source: str
-    parameters: dict
-    rng_seed: int | None
-    version: str
-    duration_seconds: float
-    schemas: dict
 
 
 def _build_parser() -> _Parser:
@@ -423,16 +413,15 @@ def main(argv=None) -> int:
         return 2
 
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    manifest = RunManifest(
-        command=args.command,
-        graph_source=params.get("graph") or params.get("config") or "",
-        parameters=params,
-        rng_seed=params.get("rng_seed"),
-        version=__version__,
-        duration_seconds=round(time.perf_counter() - started, 6),
-        schemas=SCHEMAS,
-    )
-    _write_json(out / "manifest.json", asdict(manifest))
+    _write_json(out / "manifest.json", {
+        "command": args.command,
+        "graph_source": params.get("graph") or params.get("config") or "",
+        "parameters": params,
+        "rng_seed": params.get("rng_seed"),
+        "version": __version__,
+        "duration_seconds": round(time.perf_counter() - started, 6),
+        "schemas": SCHEMAS,
+    })
     return 0
 
 

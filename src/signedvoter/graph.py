@@ -582,12 +582,11 @@ def _layout(a: int, b: int, ptr, order, in_idx, coef, reduceat: bool) -> Layout:
     size = b - a
     deg = np.diff(ptr)
     tail = deg > _DIAGONAL_EDGES
-    n_tail = int(np.count_nonzero(tail))
-    # rows by edge count descending, then the rows without an edge, then the tail
-    by_count = np.where(tail, _DIAGONAL_EDGES + 1, _DIAGONAL_EDGES - deg).astype(np.uint8)
-    by_count = by_count.argsort(kind="stable")
-    r0 = size - n_tail - int(np.count_nonzero(deg == 0))
-    rows = np.concatenate((by_count[:r0], by_count[size - n_tail:]))  # the row in each slot
+    # the row in each slot: the rows with an edge by edge count descending, then the tail
+    rows = np.flatnonzero(deg)
+    by_count = np.where(tail[rows], _DIAGONAL_EDGES, _DIAGONAL_EDGES - deg[rows]).astype(np.uint8)
+    rows = rows[by_count.argsort(kind="stable")]
+    r0 = rows.size - int(np.count_nonzero(tail))
     # diagonal j holds the rows with more than j edges, a prefix of the slots
     longer = (r0 - np.cumsum(np.bincount(deg[rows[:r0]]))[:-1]).tolist()
     diags = _offsets(longer or [0])  # one diagonal, empty, at least
@@ -605,7 +604,7 @@ def _layout(a: int, b: int, ptr, order, in_idx, coef, reduceat: bool) -> Layout:
         tail_starts = _offsets(tail_deg)[:-1]
     else:
         out = np.concatenate([np.arange(c) for c in longer]
-                             + [np.repeat(np.arange(r0, r0 + n_tail), tail_deg)])
+                             + [np.repeat(np.arange(r0, rows.size), tail_deg)])
     slot = None
     if rows.size == size:  # a gather writes the output faster than a scatter
         slot = np.empty(size, dtype=np.int64)

@@ -9,11 +9,10 @@ both checks; called on their own, the checks test a node set against the
 cached decomposition in O(k) and run that BFS themselves.  The stationary
 law needs no BFS.  Each component's internal edges are cut out of the graph
 once, on first use, into a read-only `EdgeView` that both checks, the
-analysis, `stationary` and the sink block `pz` all read.  The cut reads
-`scc_id` and `rank` over the component's own CSR rows, as does that of
-`py`.  A node set that a caller hands to a check or to `stationary` must be
-one component, and reads that component's view.  `_restrict` cuts only
-`px`; the tests also read it as a reference for the views.
+analysis, `stationary` and the sink block `pz` all read; `px` and every
+`py` are sliced out of one read of the non-sink rows.  A node set handed to
+a check or to `stationary` must be one component, and reads its view.
+`_restrict` is only the tests' reference for the views and blocks.
 """
 
 import math
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, NotStronglyConnected, PeriodicComponent
-from .graph import SignedDigraph, _offsets, _ranges, _sources, partition, scatter
+from .graph import SignedDigraph, _offsets, _ranges, _sources, _stable_order, partition, scatter
 
 
 class BalanceKind(Enum):
@@ -172,13 +171,14 @@ class Decomposition(_WeakGraph):
 
     Components are numbered by their smallest contained node id; each
     component array is sorted ascending, and `rank` is each node's index in
-    its component.  Sinks are components with no outgoing condensation
-    edge; `non_sink` is everything else, sorted.  `view(i)` holds component
-    i's internal edges, cut out of the graph once and read by both checks,
+    its component.  Sinks are components with no outgoing condensation edge;
+    `non_sink` is everything else, sorted.  `view(i)` holds component i's
+    internal edges, cut out of the graph once and read by both checks,
     `analysis(i)`, `stationary` and `pz`.  Block views restrict the signed
-    transition matrix to non-sink rows (px), non-sink-to-sink couplings (py)
-    and each sink (pz); `analysis(i)` holds the long-term facts of component
-    i.  All three are built on first use.  The decomposition holds its graph
+    transition matrix to non-sink rows (px), non-sink-to-sink couplings (py,
+    cut with px from one read of those rows) and each sink (pz), indexed
+    like `sinks`; `analysis(i)` holds the long-term facts of component i.
+    All three are built on first use.  The decomposition holds its graph
     weakly, as the graph caches it: once the graph is gone, what is not yet
     built raises ReferenceError.
     """
@@ -189,7 +189,7 @@ class Decomposition(_WeakGraph):
     sink_index: list
     non_sink: np.ndarray
     rank: np.ndarray
-    _blocks: dict = field(default_factory=dict, repr=False)
+    _pz: dict = field(default_factory=dict, repr=False)
     _analyses: dict = field(default_factory=dict, repr=False)
     _views: dict = field(default_factory=dict, repr=False)
 
@@ -199,10 +199,6 @@ class Decomposition(_WeakGraph):
     @cached_property
     def sinks(self) -> list:
         return [self.components[i] for i in self.sink_index]
-
-    @cached_property
-    def _sink_set(self) -> frozenset:
-        return frozenset(self.sink_index)
 
     @property
     def n_components(self) -> int:
@@ -257,34 +253,49 @@ class Decomposition(_WeakGraph):
         eid = _ranges(start, count)
         target = G.targets[eid]
         ends = _offsets(count)
-        if rows is self.components[i] and i in self._sink_set:
+        if rows is self.components[i] and self._sink_number[i] < len(self.sink_index):
             return ends, self.rank[target], eid  # every out-edge of a sink stays inside it
         keep = self.scc_id[target] == i  # kept edges before each row's end give its pointer
         return _offsets(keep)[ends], self.rank[target[keep]], eid[keep]
 
+    @cached_property
+    def _sink_number(self) -> np.ndarray:
+        """Each component's index in `sinks`, or len(sinks) if it is not a sink."""
+        number = np.full(self.n_components, len(self.sink_index), dtype=np.int64)
+        number[self.sink_index] = np.arange(len(self.sink_index))
+        return number
+
+    @cached_property
+    def _x_blocks(self) -> tuple:
+        """(px, [py(0), py(1), ...]) from one read of the out-edges of X, the
+        non-sink rows, each keyed by the sink its target lies in, X's own last:
+        a stable order of the keys keeps global edge order inside each block."""
+        G, x, n_sinks = self.graph, self.non_sink, len(self.sink_index)
+        count = G.indptr[x + 1] - G.indptr[x]
+        eid = _ranges(G.indptr[x], count)
+        key = self._sink_number[self.scc_id[G.targets[eid]]]
+        order = _stable_order(key, n_sinks + 1)
+        col = self.rank.copy()  # a target's column: its rank in its sink, or its place in X
+        col[x] = np.arange(x.size)
+        rows, eid = _sources(_offsets(count))[order], eid[order]
+        cols, coef = col[G.targets[eid]], G.transition_coef[eid]
+        ends = _offsets(np.bincount(key, minlength=n_sinks + 1)).tolist()
+        blocks = [Block(rows[a:b], cols[a:b], coef[a:b], x.size, k) for a, b, k
+                  in zip(ends, ends[1:], [sink.size for sink in self.sinks] + [x.size])]
+        return blocks[-1], blocks[:-1]
+
     def px(self) -> Block:
-        x = self.non_sink
-        return self._block("x", x.size, x.size, lambda: _restrict(self.graph, x, x))
+        return self._x_blocks[0]
 
     def py(self, sink: int) -> Block:
-        x, i = self.non_sink, self.sink_index[sink]
-
-        def cut():
-            indptr, dst, eid = self._into(x, i)
-            return _sources(indptr), dst, eid
-        return self._block(("y", sink), x.size, self.components[i].size, cut)
+        return self._x_blocks[1][sink]
 
     def pz(self, sink: int) -> Block:
         i = self.sink_index[sink]
-        k = self.components[i].size
-        return self._block(("z", sink), k, k, lambda: self.view(i).edges())
-
-    def _block(self, key, nrows: int, ncols: int, cut) -> Block:
-        """The block `key`, built on first use from `cut()`'s (src, dst, eid)."""
-        if key not in self._blocks:
-            src, dst, eid = cut()
-            self._blocks[key] = Block(src, dst, self.graph.transition_coef[eid], nrows, ncols)
-        return self._blocks[key]
+        if i not in self._pz:
+            (src, dst, eid), k = self.view(i).edges(), self.components[i].size
+            self._pz[i] = Block(src, dst, self.graph.transition_coef[eid], k, k)
+        return self._pz[i]
 
 
 def decompose(G: SignedDigraph) -> Decomposition:

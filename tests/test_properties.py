@@ -269,6 +269,21 @@ def test_edge_view_equals_the_restriction(G):
         assert np.array_equal(blk.coef, G.transition_coef[eid])
 
 
+@PROPERTY_SETTINGS
+@given(st.one_of(signed_digraphs(), signed_condensations()))
+@example(sv.from_edge_list([(0, 1, 1), (1, 0, -1), (1, 1, 1)]))  # one SCC: X is empty
+def test_px_equals_the_restriction(G):
+    """px, cut with every py from one read of X's out-edges, equals
+    `_restrict(G, non_sink, non_sink)` element for element, with dtypes;
+    graphs with an empty X included."""
+    d = sv.decompose(G)
+    x, blk = d.non_sink, d.px()
+    src, dst, eid = structure._restrict(G, x, x)
+    for got, want in zip((blk.rows, blk.cols, blk.coef), (src, dst, G.transition_coef[eid])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (blk.nrows, blk.ncols) == (x.size, x.size)
+
+
 @st.composite
 def graphs_with_vectors(draw):
     """A random graph plus 2n finite entries to fill test vectors with."""

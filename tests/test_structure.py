@@ -118,6 +118,42 @@ def test_block_views_tile_the_transition_matrix():
     assert total == G.n_edges
 
 
+def test_px_and_every_py_read_the_rows_of_x_once(monkeypatch):
+    """px and every py(j) are sliced out of one read of X's CSR rows: a ring
+    feeder with B repaired singleton sinks reads them once, where a cut per
+    block read them B + 1 times."""
+    m, B = 5, 40
+    edges = [(v, (v + 1) % m, 1) for v in range(m)]
+    edges += [(j % m, m + j, -1 if j % 3 else 1) for j in range(B)]
+    G = sv.from_edge_list(edges, repair_dangling=True)
+    d = sv.decompose(G)
+    assert len(d.sinks) == B and d.non_sink.tolist() == list(range(m))
+    original, calls = structure._ranges, []
+
+    def counted(start, count):
+        calls.append(count.size)
+        return original(start, count)
+
+    monkeypatch.setattr(structure, "_ranges", counted)
+    blocks = [d.px()] + [d.py(j) for j in range(B)] + [d.px(), d.py(0)]
+    assert calls == [m]
+    assert sum(blk.rows.size for blk in blocks[:B + 1]) == m + B
+    assert all(d.py(j).rows.tolist() == [j % m] for j in range(B))
+
+
+def test_py_and_pz_index_like_the_list_of_sinks():
+    """py(j) and pz(j) take j as `sinks[j]` does: one past the last sink is
+    an IndexError, and -1 is the last sink's block itself."""
+    G = sv.from_edge_list([(0, 1, 1), (1, 0, -1), (0, 2, 1), (1, 3, -1), (2, 2, 1), (3, 3, 1)])
+    d = sv.decompose(G)
+    B = len(d.sinks)
+    assert B == 2
+    for block in (d.py, d.pz):
+        with pytest.raises(IndexError):
+            block(B)
+        assert block(-1) is block(B - 1)
+
+
 def test_is_aperiodic():
     # 2-cycle and 3-cycle sharing node 0: gcd(2, 3) = 1
     G = sv.from_edge_list([(0, 1, 1), (1, 0, 1), (0, 2, 1), (2, 3, 1), (3, 0, 1)])
