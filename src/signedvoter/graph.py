@@ -24,7 +24,8 @@ in the sums, which the tail reads).
 A product of at least _PART_EDGES edges runs in k = min(_threads(),
 m // _PART_EDGES) parts, each over a contiguous range of output nodes: part
 0 on the calling thread, the others on one pool of at most _threads() - 1
-worker threads, made on first use and kept for the life of the process.
+worker threads, made on first use and kept for the life of the process;
+`parse_snap` reads the runs of lines of a text on the same threads.
 `row_partition` cuts the CSR rows into ranges of about m/k edges;
 `partition` splits an edge list stably by ranges of the output index.  Each
 output entry is summed over the same edges in the same order as in one
@@ -84,7 +85,7 @@ def _cuts(starts: np.ndarray, k: int) -> np.ndarray:
     return cuts
 
 
-_pool = None  # the product workers, made on first use
+_pool = None  # the workers of products and of `_run_fields`, made on first use
 _pool_lock = threading.Lock()
 
 
@@ -445,12 +446,12 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-# Characters of a run of `_run_fields`, at least.  Its bytes stay in cache
-# through the passes of `_plain_fields`: on an Epinions-sized file (15.5 MB,
-# 1.07M edges) runs of 64 KiB read in 127 ms against 152 ms for one pass
-# over the whole text, and runs of 16 KiB in 224 ms, where each run's fixed
-# cost tells.
-_RUN_CHARS = 1 << 16
+# Characters of a run of `_run_fields`, at least.  Each run has a fixed cost,
+# partly under the GIL, on which two threads serialize.  On an Epinions-sized
+# file (15.5 MB, 1.07M edges; shared 2-vCPU host, medians of 7) two threads
+# read in 172 ms with runs of 64 KiB, 147 with 128 KiB, 135 with 256 KiB,
+# 133 with 512 KiB and 143 with 1 MiB; one thread in 183-225 ms at each size.
+_RUN_CHARS = 1 << 18
 
 
 def _run_fields(text: str) -> tuple:
@@ -459,24 +460,31 @@ def _run_fields(text: str) -> tuple:
 
     Each run is the shortest prefix of the rest of the text that holds
     _RUN_CHARS characters or more and ends after a `\n` (or with the text).
-    `_plain_fields` reads each run, or else `_checked_fields` does, so a
-    non-plain line costs its run, not the text.  `str.splitlines` ends a
-    line at each `\n`, and a cut after one never splits a `\r\n`, so the
-    lines of the runs before add up to the number of the line a run starts
-    on.  Raises on the first bad line.
+    `_plain_fields` reads the runs in k = min(_threads(), runs) parts of
+    consecutive runs, through `_in_parts`.  Then, on the calling thread and
+    in file order, `_checked_fields` reads each run it rejected, so a
+    non-plain line costs its run, not the text, and raises on the first bad
+    line.  `str.splitlines` ends a line at each `\n`, and a cut after one
+    never splits a `\r\n`, so the lines of the runs before add up to the
+    number of the line a run starts on.
     """
-    pieces, lines, counted, start = [], 0, 0, 0
-    while start < len(text):
-        end = text.find("\n", start + _RUN_CHARS - 1) + 1 or len(text)
-        run = text[start:end]
-        fields = _plain_fields(run)
-        if fields is None:
+    ends, end = [], 0
+    while end < len(text):
+        end = text.find("\n", end + _RUN_CHARS - 1) + 1 or len(text)
+        ends.append(end)
+    runs = list(pairwise([0] + ends))
+    k = max(1, min(_threads(), len(runs)))
+    cuts = [len(runs) * j // k for j in range(k + 1)]  # part j reads runs cuts[j]:cuts[j + 1]
+    parts = _in_parts(lambda j: [_plain_fields(text[a:b]) for a, b in runs[cuts[j]:cuts[j + 1]]], k)
+    pieces = [fields for part in parts for fields in part]
+    lines, counted = 0, 0
+    for i, (start, end) in enumerate(runs):
+        if pieces[i] is None:
+            run = text[start:end]
             lines += text.count("\n", counted, start)  # plain runs end their lines at \n only
-            fields = _checked_fields(run, lines)
+            pieces[i] = _checked_fields(run, lines)
             lines += len(run.splitlines())
             counted = end
-        pieces.append(fields)
-        start = end
     if not any(sign.size for _, _, sign in pieces):
         raise MalformedLine("no edges in input")
     return tuple(_joined([p[c] for p in pieces]) for c in range(3))

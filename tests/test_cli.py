@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -568,6 +569,54 @@ def test_golden_longterm_outputs(tmp_path):
     }
     for path, text in golden.items():
         assert (tmp_path / path).read_bytes() == text.encode(), path
+
+
+def _many_sinks_edges(m=300, dangling=300, s=60):
+    """A feeder SCC of m nodes (a ring with chords) with one out-edge to each
+    of `dangling` nodes that have none, repaired into singleton sinks, and a
+    balanced, aperiodic sink of s nodes that every tenth feeder node reaches
+    by three edges.  No sink has over 10,000 nodes, so every dot of the
+    steady state is one BLAS call on one thread."""
+    rng = np.random.default_rng(13)
+    edges = [(v, (v + off) % m, 1 if rng.random() < 0.7 else -1)
+             for v in range(m) for off in (1, 2, 5)]
+    edges += [(j % m, m + j, 1 if rng.random() < 0.8 else -1) for j in range(dangling)]
+    base = m + dangling  # the sink's even nodes are S, its odd ones S-bar
+    edges += [(base + i, base + (i + off) % s, 1 if off == 2 else -1)
+              for i in range(s) for off in (1, 2)]
+    edges += [(v, base + int(i), 1 if rng.random() < 0.6 else -1)
+              for v in range(0, m, 10) for i in rng.choice(s, 3, replace=False)]
+    return sv.serialize(sv.from_edge_list(edges, repair_dangling=True))
+
+
+def test_golden_many_sinks_outputs(tmp_path):
+    """Frozen bytes on 301 sinks, 300 of them repaired singletons: the coupling
+    blocks cut per sink and the solves over them."""
+    graph = tmp_path / "many_sinks.edges"
+    graph.write_text(_many_sinks_edges())
+    d = sv.decompose(sv.parse_snap(graph.read_text()).graph)
+    assert len(d.sinks) == 301 and d.non_sink.size == 300
+    runs = {
+        "dyn": ["dynamics", "--seeds", "0,7,300,601,610", "--t", "30"],
+        "max": ["maximize", "--objective", "longterm", "--k", "20", "--contributions"],
+        "cmp": ["compare", "--k", "20", "--t", "5", "--trials", "0"],
+    }
+    for name, argv in runs.items():
+        assert main(argv + ["--graph", str(graph), "--out", str(tmp_path / name)]) == 0
+    golden = {
+        "max/seeds.json":
+            "a830c91c27a4f0f180218c3924bc23999d0855695ffc614332aa2db766484bd2",
+        "max/contributions.csv":
+            "0bf8d49356db5cb38d4420fc33252621381b51aefb9fd1240aef09a28a910db4",
+        "dyn/steady_state.json":
+            "af65b55571e171a9a06d594c8e928945a415e4098a455928633e9f599af3d2e4",
+        "cmp/summary.json":
+            "04e89f939ea4130012500be432ccf995a0ae23ab155d8496986dfa8261ae151f",
+        "cmp/compare.csv":
+            "a969a2eb026017554246e977d7615eb3858b897f80b5372fa0cc738139921a3d",
+    }
+    for path, digest in golden.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest, path
 
 
 def test_generate_rejects_two_graph_sources(bal_cfg, wc_graph, tmp_path, capsys):

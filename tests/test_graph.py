@@ -16,6 +16,7 @@ from signedvoter.errors import (
     DuplicateEdge,
     MalformedLine,
     NonFiniteWeight,
+    SignedVoterError,
     ZeroWeightEdge,
 )
 from signedvoter.graph import _plain_fields
@@ -475,6 +476,75 @@ def test_parted_products_share_one_pool_of_at_most_threads_minus_one():
         assert len(parted._transpose_parts) == 3 and parted._row_cuts.size == 4
         assert 1 <= len(graph._pool._threads) <= 2
     assert len(results) == 160 and all(r == want for r in results)
+
+
+# ids from 10, compacted in order of first appearance; line i + 60 repeats
+# line i's edge with another sign, and the first one is kept
+_EDGE_LINES = [f"{10 + i % 60} {10 + (7 * i + 3) % 60} {-1 if i % 7 == 0 else 1}\n"
+               for i in range(120)]
+
+
+def _edge_lines(**edits) -> str:
+    """120 edge lines of 8 or 9 characters, with line `_i` replaced by edits["_i"]."""
+    return "".join(edits.get(f"_{i}", line) for i, line in enumerate(_EDGE_LINES))
+
+
+def _parse_at(threads: int, text: str):
+    """parse_snap's graph arrays, node ids and edge counts on `threads`
+    threads, or its error's type and message."""
+    with products_in_parts(threads):
+        try:
+            p = sv.parse_snap(text)
+        except SignedVoterError as exc:
+            return type(exc), str(exc)
+    arrays = (p.graph.indptr, p.graph.targets, p.graph.weights, p.graph.signs, p.node_ids)
+    return ([(a.dtype, a.tobytes()) for a in arrays],
+            p.file_edges, p.file_negative, p.parsed_edges, p.parsed_negative)
+
+
+@pytest.mark.parametrize("text, error", [
+    (_edge_lines(), None),
+    ("# head\n" + _edge_lines(_50="60 11 +1\n", _100="  # note\n"), None),
+    (_edge_lines(_10="10 1 x\n", _100="100 1\n"), "line 11: non-integer field"),
+    (_edge_lines(_5="5 6 1\x0c7 8 1\n", _100="100 1\n"), "line 102: expected"),
+    (_edge_lines(_60="10 11 +1\n", _110="110 1\n").replace("\n", "\r\n"), "line 111: expected"),
+    (_edge_lines(_60="10 11 +1\n").replace("\n", "\r\n"), None),
+    ("", "no edges in input"),
+    ("# comment line\n" * 60, "no edges in input"),
+], ids=["plain", "non-plain runs in two parts", "bad lines in the first and last parts",
+        "form feed before a later part's bad line", "crlf endings, bad line", "crlf endings",
+        "empty", "comments only"])
+def test_the_parse_does_not_depend_on_the_thread_count(monkeypatch, text, error):
+    """In runs of 64 characters, read in 1, 2 or 3 parts, every text gives
+    the same graph, or the same first error, as the line-by-line reference."""
+    monkeypatch.setattr(graph, "_RUN_CHARS", 64)
+    assert not text or len(text) > 9 * 64  # at least three runs a part
+    want = _parse_at(1, text)
+    if error is None:
+        assert isinstance(want[0], list), want
+    else:
+        assert want[1].startswith(error), want
+    for threads in (2, 3):
+        assert _parse_at(threads, text) == want, threads
+        with products_in_parts(threads):
+            assert_parses_like_reference(text)
+
+
+def test_the_parse_reads_its_parts_on_the_product_pool(monkeypatch):
+    """On 3 threads the parse's parts run on the product pool: the first parse
+    starts at most its 2 workers, and later parses start none beyond them."""
+    monkeypatch.setattr(graph, "_RUN_CHARS", 64)
+    text = _edge_lines()
+    with products_in_parts(3):
+        before = threading.active_count()
+        first = sv.parse_snap(text)
+        pool = graph._pool
+        assert pool is not None and 1 <= threading.active_count() - before <= 2
+        for _ in range(3):
+            again = sv.parse_snap(text)
+            assert graph._pool is pool
+            assert threading.active_count() - before == len(pool._threads) <= 2
+    assert sv.graphs_equal(first.graph, again.graph)
 
 
 @pytest.mark.parametrize("k", [1, 2])
