@@ -140,11 +140,13 @@ def _read_text(path) -> str:
 
 
 def _load_graph(args) -> SignedDigraph:
-    if getattr(args, "graph", None) and getattr(args, "config", None):
+    if args.graph and args.config:
         raise UsageError("--graph and --generate are mutually exclusive")
-    if getattr(args, "graph", None):
+    if args.command == "generate" and not args.config:
+        raise UsageError("generate needs --generate CONFIG")
+    if args.graph:
         return parse_snap(_read_text(args.graph), repair_dangling=args.repair_dangling).graph
-    if getattr(args, "config", None):
+    if args.config:
         return generate(parse_generator_config(_read_text(args.config)))
     raise UsageError("one of --graph or --generate is required")
 
@@ -203,10 +205,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _cmd_generate(args, out: Path) -> None:
-    if not args.config:
-        raise UsageError("generate needs --generate CONFIG")
-    G = _load_graph(args)
+def _cmd_generate(args, G: SignedDigraph, out: Path) -> None:
     (out / "graph.edges").write_text(serialize(G), encoding="utf-8")
     _write_json(out / "graph.json",
                 {"n": G.n, "edges": G.n_edges, "negative_edges": G.n_negative})
@@ -219,8 +218,7 @@ def _balance_record(bal) -> dict:
     return {"kind": _KIND_LABEL[bal.kind], "s_size": bal.size_s, "sbar_size": bal.size_sbar}
 
 
-def _cmd_classify(args, out: Path) -> None:
-    G = _load_graph(args)
+def _cmd_classify(args, G: SignedDigraph, out: Path) -> None:
     decomp = decompose(G)
     sink_set = set(decomp.sink_index)
     records = []
@@ -259,8 +257,7 @@ def _steady_record(G: SignedDigraph, x0) -> dict:
     }
 
 
-def _cmd_dynamics(args, out: Path) -> None:
-    G = _load_graph(args)
+def _cmd_dynamics(args, G: SignedDigraph, out: Path) -> None:
     seeds = _parse_seeds(args.seeds, G.n)
     x0 = indicator(G.n, seeds)
     if args.per_node and args.t is None:
@@ -285,8 +282,7 @@ def _trajectory_rows(G: SignedDigraph, x0, t, width: int):
         lag2, lag1 = lag1, x
 
 
-def _cmd_simulate(args, out: Path) -> None:
-    G = _load_graph(args)
+def _cmd_simulate(args, G: SignedDigraph, out: Path) -> None:
     seeds = _parse_seeds(args.seeds, G.n)
     stats = mc_run(G, seeds, args.t, args.trials, args.rng_seed)
     rows = [[k, _fmt(stats.mean[k]), _fmt(stats.stderr[k])] for k in range(args.t + 1)]
@@ -301,8 +297,7 @@ def _cmd_simulate(args, out: Path) -> None:
     })
 
 
-def _cmd_maximize(args, out: Path) -> None:
-    G = _load_graph(args)
+def _cmd_maximize(args, G: SignedDigraph, out: Path) -> None:
     cv = None
     if args.baseline:
         chosen = heuristic_seeds(G, args.k, args.baseline, rng_seed=args.rng_seed)
@@ -324,8 +319,7 @@ def _cmd_maximize(args, out: Path) -> None:
         _write_csv(out / "contributions.csv", ["node", "contribution"], rows)
 
 
-def _cmd_compare(args, out: Path) -> None:
-    G = _load_graph(args)
+def _cmd_compare(args, G: SignedDigraph, out: Path) -> None:
     if args.objective == "longterm":
         svim = svim_l(G, args.k)
     else:
@@ -385,7 +379,7 @@ def main(argv=None) -> int:
         _check_ranges(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, out)
+        _COMMANDS[args.command](args, _load_graph(args), out)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -205,7 +205,7 @@ def steady_state(G: SignedDigraph, x0) -> SteadyState:
         anti = bal.kind is BalanceKind.ANTI_BALANCED
         oscillating |= anti
         z = bal.nodes
-        align = float((bal.signs * sink.pi) @ (x0[z] - 0.5))
+        align = sink.alignment(x0)
         alignment.append(align)
         xz = bal.signs * align + 0.5
         x_even[z] = xz

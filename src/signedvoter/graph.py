@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DanglingNode, DuplicateEdge, MalformedLine, NonFiniteWeight, ZeroWeightEdge
 
 _OUT_WEIGHT_RTOL = 1e-12  # relative slack of validate()'s out_weight check
-_MAX_THREADS = 4  # threads of one product or one MC step, at most
+_MAX_THREADS = 4  # threads of one product or one mc_run, at most
 # Edges per part of a product, at least.  On a shared 2-vCPU host (NumPy
 # 2.4, min of 7 x 40 calls), two parts made the 100k-edge products of
 # configs/balanced.cfg slower, apply_p 0.54 -> 0.62 ms and the transpose
@@ -63,7 +63,7 @@ _MAX_NODES = math.isqrt(2**63 - 1)  # nodes, at most: the edge key src * n + dst
 
 
 def _threads() -> int:
-    """Threads a product or an MC step may use: the cores this process may run on, capped."""
+    """Threads a product or an mc_run may use: the cores this process may run on, capped."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform

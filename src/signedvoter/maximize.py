@@ -162,22 +162,13 @@ def oscillation_seeds(G: SignedDigraph, k: int) -> SeedSet:
     bal = sink.balance
     if bal.kind is not BalanceKind.ANTI_BALANCED:
         raise WrongKind(f"sink is {bal.kind.value}, not anti_balanced")
-    z, pi = bal.nodes, sink.pi
-    pihat = bal.signs * pi
-
-    def candidate(side_mask) -> list:
-        side = np.nonzero(side_mask)[0]
-        return [int(z[j]) for j in _top(side, pi[side], k)]
-
-    best_nodes, best_score = None, -1.0
-    for nodes in (candidate(bal.in_s), candidate(~bal.in_s)):
-        e = np.zeros(z.size)
-        e[np.searchsorted(z, nodes)] = 1.0
-        score = abs(float(pihat @ (e - 0.5)))
-        if score > best_score:
-            best_nodes, best_score = nodes, score
-    amp = oscillation_amplitude(G, steady_state(G, indicator(G.n, best_nodes)))
-    return SeedSet(sorted(best_nodes), amp, "oscillation")
+    pi = sink.pi
+    sides = [bal.nodes[_top(side, pi[side], k)]
+             for side in (np.flatnonzero(bal.in_s), np.flatnonzero(~bal.in_s))]
+    # max keeps the first side of the largest |alignment|
+    best = max(sides, key=lambda nodes: abs(sink.alignment(indicator(G.n, nodes))))
+    amp = oscillation_amplitude(G, steady_state(G, indicator(G.n, best)))
+    return SeedSet(sorted(int(v) for v in best), amp, "oscillation")
 
 
 # The baselines by name, each with a node's score from the graph G and the

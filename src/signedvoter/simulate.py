@@ -11,17 +11,19 @@ A step draws a batch's uniforms in the C order of one (rows, n) draw per
 step.  A float64 draw takes exactly one PCG64 output, so any row of any
 step can start from a copy of the batch generator advanced to its first
 draw (_seek), and results do not depend on how rows are split among the
-up to _threads() worker threads.  mc_run is tile-major: each worker takes
-an equal share of a batch's rows and runs it in row tiles, at most one
-block of node-updates each, through all t steps, counts them into sums of
-its own as it goes and returns the sums when it is joined.  A worker owns
-its scratch, its two tile arrays and its sums, so memory does not grow
-with the number of trials, and workers share only read-only inputs.  With
-track_nodes, each worker's sums include one (t + 1) x n count array, at
-most graph._MAX_THREADS of them.
-mc_polarize is step-major, stepping a whole batch at a time in two color
-arrays of the batch: it drops absorbed rows after each step, so where a
-row draws from depends on how many rows earlier steps dropped.
+up to _threads() worker threads.  Only mc_run splits rows among threads,
+and it is tile-major: each worker takes an equal share of a batch's rows
+and runs it in row tiles, at most one block of node-updates each, through
+all t steps, counts them into sums of its own as it goes and returns the
+sums when it is joined.  A worker owns its scratch, its two tile arrays
+and its sums, so memory does not grow with the number of trials, and
+workers share only read-only inputs.  With track_nodes, each worker's
+sums include one (t + 1) x n count array, at most graph._MAX_THREADS of
+them.
+mc_step and mc_polarize step on the calling thread.  mc_polarize is
+step-major, stepping a whole batch at a time in two color arrays of the
+batch: it drops absorbed rows after each step, so where a row draws from
+depends on how many rows earlier steps dropped.
 """
 
 import threading
@@ -92,17 +94,11 @@ class _Scratch:
 
 def _seek(bits: np.random.PCG64, state: dict, row: int, n: int) -> None:
     """Set `bits` to where a PCG64 in `state` stands after `row` rows of n
-    float64 draws: `state` advanced by row * n outputs.
-
-    advance() drops a buffered 32-bit value, which float64 draws neither
-    use nor change, so it is put back.
-    """
+    float64 draws: `state` advanced by row * n outputs.  advance() drops a
+    buffered 32-bit value, which the float64 draws of walk neither use nor
+    change."""
     bits.state = state
     bits.advance(row * n)
-    if state["has_uint32"]:
-        end = bits.state
-        end["has_uint32"], end["uinteger"] = state["has_uint32"], state["uinteger"]
-        bits.state = end
 
 
 class _Stepper:
@@ -119,13 +115,14 @@ class _Stepper:
     the worker's `both` buffer followed by their complement, and an edge
     reads position target there, or target + n when it is negative.
 
-    Inside a `with` block, up to _threads() workers share the work, each
-    with its own block of scratch, and a worker's rows draw from a copy of
-    the generator moved to their first draw (_seek).  Both a step
-    (__call__) and a walk split their rows evenly among the workers, so no
-    worker runs more than ceil(rows / workers) of them.  The worker threads
-    end with the `with` block; when it ends in an exception, the workers of
-    a walk stop at their next tile-step instead of finishing their share.
+    A step (__call__) runs on the calling thread.  Inside a `with` block,
+    up to _threads() workers share a walk, each with its own block of
+    scratch, and a worker's rows draw from a copy of the generator moved to
+    their first draw (_seek).  A walk splits its rows evenly among the
+    workers, so no worker runs more than ceil(rows / workers) of them.  The
+    worker threads end with the `with` block; when it ends in an exception,
+    the workers of a walk stop at their next tile-step instead of finishing
+    their share.
     """
 
     def __init__(self, G: SignedDigraph, tables: AliasTables):
@@ -170,27 +167,7 @@ class _Stepper:
                  out: np.ndarray) -> np.ndarray:
         """Write the step of C-contiguous boolean `colors` into `out`; `rng`
         ends where one rng.random(colors.shape) draw leaves it."""
-        rows = colors.shape[0]
-        blocks = -(-rows // self.rows)
-        # other bit generators cannot jump by a count of float64 draws
-        workers = min(self.threads, blocks) if type(rng.bit_generator) is np.random.PCG64 else 1
-        if workers <= 1:
-            self._run(self._buffers(1)[0], colors, rng, out)
-            return out
-        # worker w steps rows cuts[w]:cuts[w + 1] in blocks of its own
-        cuts = [w * rows // workers for w in range(workers + 1)]
-        scratch = self._buffers(workers)
-        start = rng.bit_generator.state
-        jobs = []
-        for w in range(1, workers):
-            a, b = cuts[w], cuts[w + 1]
-            jumped = np.random.Generator(np.random.PCG64())
-            _seek(jumped.bit_generator, start, a, self.n)
-            jobs.append(self.pool.submit(self._run, scratch[w], colors[a:b], jumped, out[a:b]))
-        self._run(scratch[0], colors[:cuts[1]], rng, out[:cuts[1]])
-        for job in jobs:
-            job.result()  # on a failure, __exit__ waits for the other workers
-        _seek(rng.bit_generator, start, rows, self.n)
+        self._run(self._buffers(1)[0], colors, rng, out)
         return out
 
     def walk(self, rng: np.random.Generator, size: int, initial: np.ndarray, t: int,
@@ -295,8 +272,7 @@ def mc_step(G: SignedDigraph, colors, rng: np.random.Generator) -> np.ndarray:
     single = colors.ndim == 1
     if single:
         colors = colors[None, :]
-    with _Stepper(G, build_alias_tables(G)) as step:
-        out = step(colors, rng, np.empty_like(colors))
+    out = _Stepper(G, build_alias_tables(G))(colors, rng, np.empty_like(colors))
     return out[0] if single else out
 
 
@@ -440,25 +416,25 @@ def mc_polarize(G: SignedDigraph, partition, seeds, trials: int, rng_seed: int) 
     in_s = _partition_mask(G, partition)
     absorbed = np.zeros(_POLARIZE_MAX_STEPS + 1, dtype=np.int64)  # per step, over all batches
     s_white = s_black = steps = 0
-    with _Stepper(G, build_alias_tables(G)) as step:
-        for rng, colors, spare in _batches(G, seeds, trials, rng_seed):
-            # a batch draws only from its own stream, so running each batch to
-            # absorption in turn draws what stepping all batches together would
-            k = 0
-            while colors.shape[0] and k < _POLARIZE_MAX_STEPS:
-                k += 1
-                colors, spare = step(colors, rng, spare), colors
-                hit_white, hit_black = _polarized(colors, in_s, spare)
-                done = hit_white | hit_black
-                if done.any():
-                    s_white += int(hit_white.sum())
-                    s_black += int(hit_black.sum())
-                    absorbed[k] += int(done.sum())
-                    live = np.flatnonzero(~done)
-                    colors, spare = (np.take(colors, live, axis=0, out=spare[:live.size],
-                                             mode="clip"),
-                                     colors[:live.size])
-            steps = max(steps, k)
+    step = _Stepper(G, build_alias_tables(G))
+    for rng, colors, spare in _batches(G, seeds, trials, rng_seed):
+        # a batch draws only from its own stream, so running each batch to
+        # absorption in turn draws what stepping all batches together would
+        k = 0
+        while colors.shape[0] and k < _POLARIZE_MAX_STEPS:
+            k += 1
+            colors, spare = step(colors, rng, spare), colors
+            hit_white, hit_black = _polarized(colors, in_s, spare)
+            done = hit_white | hit_black
+            if done.any():
+                s_white += int(hit_white.sum())
+                s_black += int(hit_black.sum())
+                absorbed[k] += int(done.sum())
+                live = np.flatnonzero(~done)
+                colors, spare = (np.take(colors, live, axis=0, out=spare[:live.size],
+                                         mode="clip"),
+                                 colors[:live.size])
+        steps = max(steps, k)
     total = np.cumsum(absorbed[:steps + 1])
     ks = np.arange(1, steps + 1)
     ks = ks[(ks % _POLARIZE_CHECKPOINT_EVERY == 0) | (total[1:] == trials)]

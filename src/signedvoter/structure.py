@@ -107,6 +107,13 @@ class ComponentAnalysis(_WeakGraph):
         pi.setflags(write=False)
         return pi
 
+    def alignment(self, x: np.ndarray) -> float:
+        """The inner product of the signed stationary law with x - 1/2 on the
+        nodes of this balanced or anti-balanced sink: the weight of its
+        polarized limit from the white probabilities x."""
+        bal = self.balance
+        return float((bal.signs * self.pi) @ (x[bal.nodes] - 0.5))
+
 
 class Block:
     """Matrix-free view of one block of the signed transition matrix.

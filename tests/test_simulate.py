@@ -309,8 +309,8 @@ def test_mc_rejects_a_partition_of_the_wrong_length_before_any_step(monkeypatch,
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_mc_random_stream_is_pinned_at_every_thread_count(monkeypatch, case, threads):
     # blocks of 2^12 node-updates: a full 8,192-row batch splits among all
-    # three workers, and a polarize batch keeps doing so until few trials
-    # are left; the 37-row batch stays on one thread
+    # three workers of mc_run, while mc_polarize steps every batch on the
+    # calling thread; the 37-row batch stays on one thread
     monkeypatch.setattr(simulate, "_BLOCK", 1 << 12)
     monkeypatch.setattr(simulate, "_threads", lambda: threads)
     test_mc_random_stream_is_pinned(case)
@@ -330,7 +330,8 @@ def _same_state(a, b):
 
 
 def _threaded_step_check(monkeypatch, rng, oracle_rng):
-    """mc_step split among two workers against the one-shot oracle."""
+    """mc_step in blocks of two rows, with two threads allowed, against the
+    one-shot oracle."""
     G = _balanced([5, 5], 3)
     monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)  # two rows per block
     monkeypatch.setattr(simulate, "_threads", lambda: 2)
@@ -441,8 +442,10 @@ def test_mc_calls_leave_no_thread_running(monkeypatch, fail):
 
     monkeypatch.setattr(simulate._Stepper, "_run", worker_run)
     before = threading.active_count()
-    for call in (lambda: sv.mc_run(G, [0, 1], t=3, trials=50, rng_seed=1),
-                 lambda: sv.mc_polarize(G, in_s, [0, 1], trials=50, rng_seed=1)):
+    calls = [lambda: sv.mc_run(G, [0, 1], t=3, trials=50, rng_seed=1)]
+    if not fail:  # mc_polarize has no worker thread to fail
+        calls.append(lambda: sv.mc_polarize(G, in_s, [0, 1], trials=50, rng_seed=1))
+    for call in calls:
         if fail:
             with pytest.raises(RuntimeError, match="worker failed"):
                 call()
@@ -450,6 +453,36 @@ def test_mc_calls_leave_no_thread_running(monkeypatch, fail):
             call()
         assert threading.active_count() == before
     assert len(seen) > 1  # worker threads stepped rows, not only the calling thread
+
+
+@pytest.mark.parametrize("call", ["mc_polarize", "mc_step"])
+def test_polarize_and_step_run_on_the_calling_thread(monkeypatch, call):
+    # three threads allowed and blocks of two rows, so a batch spans many
+    # blocks: every block still steps on the calling thread, and no thread
+    # starts during the call
+    G = _balanced([5, 5], 3)
+    in_s = sv.classify_balance(np.arange(G.n), G).in_s
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 3)
+    seen, counts, spans = set(), set(), []
+    run = simulate._Stepper._run
+
+    def recorded_run(self, buf, colors, *args):
+        seen.add(threading.get_ident())
+        counts.add(threading.active_count())
+        spans.append(colors.shape[0] > buf.rows)
+        run(self, buf, colors, *args)
+
+    monkeypatch.setattr(simulate._Stepper, "_run", recorded_run)
+    before = threading.active_count()
+    if call == "mc_polarize":
+        sv.mc_polarize(G, in_s, [0, 1], trials=50, rng_seed=1)
+    else:
+        sv.mc_step(G, np.random.default_rng(2).random((50, G.n)) < 0.5,
+                   np.random.default_rng(3))
+    assert any(spans)  # the premise: some call stepped more than one block
+    assert seen == {threading.get_ident()}
+    assert counts == {before} and threading.active_count() == before
 
 
 def test_walk_gives_every_thread_an_equal_share(monkeypatch):
