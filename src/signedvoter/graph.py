@@ -312,8 +312,8 @@ def _build(n: int, src, dst, weights, signs, repair_dangling: bool, dedupe: bool
             "pass repair_dangling=True to add unit self-loops"
         )
     indptr = _offsets(count)  # src ascends, so each row follows the last
-    if weights is None:  # a count of unit weights has np.bincount(src, weights=ones)'s bits
-        weights, out_weight = np.ones(src.size), count.astype(np.float64)
+    if weights is None:  # one 1.0 for every edge; a count has bincount(src, weights=ones)'s bits
+        weights, out_weight = np.broadcast_to(np.float64(1.0), src.shape), count.astype(np.float64)
     else:
         out_weight = np.bincount(src, weights=weights, minlength=n)
     graph = SignedDigraph(n, indptr, dst, weights, signs, out_weight)

@@ -14,12 +14,12 @@ draw (_seek), and results do not depend on how rows are split among the
 up to _threads() worker threads.  Only mc_run splits rows among threads,
 and it is tile-major: each worker takes an equal share of a batch's rows
 and runs it in row tiles, at most one block of node-updates each, through
-all t steps, counts them into sums of its own as it goes and returns the
-sums when it is joined.  A worker owns its scratch, its two tile arrays
-and its sums, so memory does not grow with the number of trials, and
-workers share only read-only inputs.  With track_nodes, each worker's
-sums include one (t + 1) x n count array, at most graph._MAX_THREADS of
-them.
+all t steps, counting them into sums of its own, and each batch's walk
+starts its worker threads and joins them before it returns.  A worker owns
+its scratch, its two tile arrays and its sums, so memory does not grow with
+the number of trials, and workers share only read-only inputs.  With
+track_nodes, each worker's sums include one (t + 1) x n count array, at
+most graph._MAX_THREADS of them.
 mc_step and mc_polarize step on the calling thread.  mc_polarize is
 step-major, stepping a whole batch at a time in two color arrays of the
 batch: it drops absorbed rows after each step, so where a row draws from
@@ -115,14 +115,14 @@ class _Stepper:
     the worker's `both` buffer followed by their complement, and an edge
     reads position target there, or target + n when it is negative.
 
-    A step (__call__) runs on the calling thread.  Inside a `with` block,
-    up to _threads() workers share a walk, each with its own block of
-    scratch, and a worker's rows draw from a copy of the generator moved to
-    their first draw (_seek).  A walk splits its rows evenly among the
-    workers, so no worker runs more than ceil(rows / workers) of them.  The
-    worker threads end with the `with` block; when it ends in an exception,
-    the workers of a walk stop at their next tile-step instead of finishing
-    their share.
+    A step (__call__) runs on the calling thread.  Up to _threads() workers
+    share a walk, each with its own block of scratch, and a worker's rows
+    draw from a copy of the generator moved to their first draw (_seek).
+    A walk splits its rows evenly among the workers, so no worker runs more
+    than ceil(rows / workers) of them.  Each walk starts its own worker
+    threads and joins them before it returns or raises, so no thread
+    outlives a walk; when it raises, its other workers stop at their next
+    tile-step instead of finishing their share.
     """
 
     def __init__(self, G: SignedDigraph, tables: AliasTables):
@@ -138,30 +138,14 @@ class _Stepper:
         # left over always falls below it, and the slot is the edge
         self.tables = None if np.all(tables.accept == 1.0) else tables
         self.scratch = []
-        self.threads, self.pool = 1, None
-        self.stop = threading.Event()
 
     def _buffers(self, workers: int) -> list:
         """One block of scratch for each of `workers` workers.  No tile holds
-        more than ceil(_BATCH / threads) rows, so neither does a block."""
-        rows = min(self.rows, -(-_BATCH // self.threads))
+        more than ceil(_BATCH / workers) rows, so neither does a block."""
+        rows = min(self.rows, -(-_BATCH // workers))
         while len(self.scratch) < workers:
             self.scratch.append(_Scratch(rows, self.n, self.tables is not None))
         return self.scratch
-
-    def __enter__(self):
-        self.threads = _threads()
-        self.stop.clear()
-        if self.threads > 1:
-            self.pool = ThreadPoolExecutor(self.threads - 1)
-        return self
-
-    def __exit__(self, exc_type, *exc):
-        if exc_type is not None:
-            self.stop.set()  # no result will be read: the workers may end early
-        if self.pool is not None:
-            self.pool.shutdown(wait=True)  # joins every worker thread
-        self.threads, self.pool = 1, None
 
     def __call__(self, colors: np.ndarray, rng: np.random.Generator,
                  out: np.ndarray) -> np.ndarray:
@@ -188,11 +172,12 @@ class _Stepper:
         `track_nodes` is set, in one (t + 1) x n array; and, when `in_s` is
         given, how many of its rows end exactly S white and exactly S black.
         """
-        workers = min(self.threads, size)
+        workers = min(_threads(), size)
         cuts = [w * size // workers for w in range(workers + 1)]
         rows = min(self.rows, -(-size // workers))
         scratch = self._buffers(workers)
         start = rng.bit_generator.state
+        stop = threading.Event()
 
         def run(w: int) -> tuple | None:
             buf = scratch[w]
@@ -207,7 +192,7 @@ class _Stepper:
                 colors[:] = initial
                 for k in range(t + 1):
                     if k:
-                        if self.stop.is_set():
+                        if stop.is_set():
                             return None
                         _seek(jumped.bit_generator, start, (k - 1) * size + a, self.n)
                         self._run(buf, colors, jumped, spare)
@@ -227,9 +212,14 @@ class _Stepper:
                     s_black += int(hit_black.sum())
             return white, squares, nodes, s_white, s_black
 
-        jobs = [self.pool.submit(run, w) for w in range(1, workers)]
-        # on a failure, __exit__ stops the other workers and waits for them
-        return [run(0)] + [job.result() for job in jobs]
+        # leaving the executor joins every worker; one with no job starts no thread
+        with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+            jobs = [pool.submit(run, w) for w in range(1, workers)]
+            try:
+                return [run(0)] + [job.result() for job in jobs]
+            except BaseException:
+                stop.set()  # no result will be read: the other workers may end early
+                raise
 
     def _run(self, buf: _Scratch, colors: np.ndarray, rng: np.random.Generator,
              out: np.ndarray) -> None:
@@ -359,17 +349,17 @@ def mc_run(G: SignedDigraph, seeds, t: int, trials: int, rng_seed: int,
     sum_w, sum_w2 = np.zeros(t + 1), np.zeros(t + 1)
     node_sum = np.zeros((t + 1, G.n), dtype=np.int64) if track_nodes else None
     s_white = s_black = 0
-    with _Stepper(G, build_alias_tables(G)) as step:
-        for size, rng in streams:
-            white, squares, nodes, hits_white, hits_black = zip(
-                *step.walk(rng, size, initial, t, track_nodes, in_s))
-            # per step, the workers' exact ints first, then one float64 conversion
-            sum_w += np.array([sum(at_k) for at_k in zip(*white)], dtype=np.float64)
-            sum_w2 += np.array([sum(at_k) for at_k in zip(*squares)], dtype=np.float64)
-            if track_nodes:
-                node_sum += sum(nodes)
-            s_white += sum(hits_white)
-            s_black += sum(hits_black)
+    step = _Stepper(G, build_alias_tables(G))
+    for size, rng in streams:
+        white, squares, nodes, hits_white, hits_black = zip(
+            *step.walk(rng, size, initial, t, track_nodes, in_s))
+        # per step, the workers' exact ints first, then one float64 conversion
+        sum_w += np.array([sum(at_k) for at_k in zip(*white)], dtype=np.float64)
+        sum_w2 += np.array([sum(at_k) for at_k in zip(*squares)], dtype=np.float64)
+        if track_nodes:
+            node_sum += sum(nodes)
+        s_white += sum(hits_white)
+        s_black += sum(hits_black)
 
     mean = sum_w / trials
     if trials > 1:

@@ -430,6 +430,17 @@ def test_parse_snap_graph_owns_contiguous_targets():
     assert targets.flags.c_contiguous and targets.base is None
 
 
+def test_parse_snap_holds_unit_weights_as_one_value():
+    """A parsed file's weights are one float64 1.0 broadcast over its edges,
+    not m ones, and read like the contiguous ones of its from_edge_list twin."""
+    twin = sv.from_edge_list([(0, 1, 1), (0, 2, -1), (1, 0, 1), (2, 1, -1), (2, 2, 1)])
+    G = sv.parse_snap(sv.serialize(twin)).graph
+    assert G.weights.strides == (0,) and not G.weights.flags.writeable
+    assert G.weights.dtype == np.float64 and G.weights.tolist() == [1.0] * 5
+    assert sv.graphs_equal(G, twin) and sv.serialize(G) == sv.serialize(twin)
+    assert G.transition_coef.tobytes() == twin.transition_coef.tobytes()
+
+
 @pytest.mark.parametrize("failing", [0, 1], ids=["calling thread", "worker"])
 def test_a_failed_part_reaches_the_caller_once_every_part_ends(failing):
     finished = []

@@ -619,27 +619,6 @@ def test_blocked_step_matches_one_shot_draw(G, rows, block, seed):
 
 
 @PROPERTY_SETTINGS
-@given(weighted_digraphs(), st.sampled_from(["0", "1", "uneven"]),
-       st.sampled_from(["default", "1", "7", "n+3"]), st.sampled_from([2, 3]),
-       st.integers(0, 2**32 - 1))
-def test_threaded_step_matches_one_shot_draw(G, rows, block, threads, seed):
-    size = {"default": simulate._BLOCK, "1": 1, "7": 7, "n+3": G.n + 3}[block]
-    per_block = max(1, size // G.n)
-    n_rows = {"0": 0, "1": 1, "uneven": 2 * per_block + 1}[rows]
-    colors = np.random.default_rng(seed).random((n_rows, G.n)) < 0.5
-    tables = simulate.build_alias_tables(G)
-    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_BLOCK", size)
-        mp.setattr(simulate, "_threads", lambda: threads)
-        with simulate._Stepper(G, tables) as step:
-            got = step(colors, rng, np.empty_like(colors))
-    want = reference_step_batch(G, tables, colors, oracle_rng)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-@PROPERTY_SETTINGS
 @given(weighted_digraphs(), st.sampled_from([1, 2, 3]),
        st.sampled_from(["default", "1", "7", "n+3"]), st.sampled_from([0, 1, 5]),
        st.sampled_from([4, 7, 11]), st.data())

@@ -329,12 +329,10 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
-def _threaded_step_check(monkeypatch, rng, oracle_rng):
-    """mc_step in blocks of two rows, with two threads allowed, against the
-    one-shot oracle."""
+def _blocked_step_check(monkeypatch, rng, oracle_rng):
+    """mc_step in blocks of two rows against the one-shot oracle."""
     G = _balanced([5, 5], 3)
     monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)  # two rows per block
-    monkeypatch.setattr(simulate, "_threads", lambda: 2)
     colors = np.random.default_rng(4).random((9, G.n)) < 0.5
     got = sv.mc_step(G, colors, rng)
     want = reference_step_batch(G, simulate.build_alias_tables(G), colors, oracle_rng)
@@ -342,27 +340,27 @@ def _threaded_step_check(monkeypatch, rng, oracle_rng):
     assert _same_state(rng.bit_generator.state, oracle_rng.bit_generator.state)
 
 
-def test_threaded_step_keeps_a_buffered_32_bit_value(monkeypatch):
+def test_step_keeps_a_buffered_32_bit_value(monkeypatch):
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
     rng.random(dtype=np.float32)  # leaves half of a 64-bit output buffered
     oracle_rng.random(dtype=np.float32)
     assert rng.bit_generator.state["has_uint32"] == 1
-    _threaded_step_check(monkeypatch, rng, oracle_rng)
+    _blocked_step_check(monkeypatch, rng, oracle_rng)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
 def test_step_on_other_bit_generators_matches_one_shot_draw(monkeypatch, bit_generator):
     rng = np.random.Generator(bit_generator(6))
     oracle_rng = np.random.Generator(bit_generator(6))
-    _threaded_step_check(monkeypatch, rng, oracle_rng)
+    _blocked_step_check(monkeypatch, rng, oracle_rng)
 
 
-def test_threaded_step_under_fast_thread_switching(monkeypatch):
-    # more workers than the two cores of a small host, switching as often as
-    # the interpreter allows: each worker writes only its own rows
+def test_repeated_steps_match_one_shot_draws(monkeypatch):
+    # five steps of the same colors in blocks of three rows, each drawing
+    # where the last one left the stream, while the interpreter switches
+    # threads as often as it allows
     G = _golden_graph("weighted")
     monkeypatch.setattr(simulate, "_BLOCK", 3 * G.n)
-    monkeypatch.setattr(simulate, "_threads", lambda: 5)
     colors = np.random.default_rng(7).random((400, G.n)) < 0.5
     rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
     interval = sys.getswitchinterval()
@@ -452,6 +450,34 @@ def test_mc_calls_leave_no_thread_running(monkeypatch, fail):
         else:
             call()
         assert threading.active_count() == before
+    assert len(seen) > 1  # worker threads stepped rows, not only the calling thread
+
+
+def test_each_walk_joins_its_workers_before_it_returns(monkeypatch):
+    # three batches of 16, 16 and 8 trials on three threads: a pool that
+    # lived across the batches would still hold its threads when the first
+    # two walks return
+    G = _balanced([5, 5], 3)
+    monkeypatch.setattr(simulate, "_BATCH", 16)
+    monkeypatch.setattr(simulate, "_BLOCK", 2 * G.n)
+    monkeypatch.setattr(simulate, "_threads", lambda: 3)
+    seen, counts = set(), []
+    run, walk = simulate._Stepper._run, simulate._Stepper.walk
+
+    def recorded_run(self, *args):
+        seen.add(threading.get_ident())
+        run(self, *args)
+
+    def recorded_walk(self, *args):
+        sums = walk(self, *args)
+        counts.append(threading.active_count())
+        return sums
+
+    monkeypatch.setattr(simulate._Stepper, "_run", recorded_run)
+    monkeypatch.setattr(simulate._Stepper, "walk", recorded_walk)
+    before = threading.active_count()
+    sv.mc_run(G, [0, 1], t=3, trials=40, rng_seed=1)
+    assert counts == [before] * 3
     assert len(seen) > 1  # worker threads stepped rows, not only the calling thread
 
 
