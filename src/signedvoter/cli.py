@@ -8,13 +8,15 @@ and oscillation_seeds' score are BLAS dots, whose bits follow the OpenBLAS
 thread count; OPENBLAS_NUM_THREADS=1 pins them.
 
 Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
-the command draws random numbers), 2 data error (parsing, a file that is not
-UTF-8, graph invariants, or running out of memory) or an internal error (any
-other exception, reported as one `internal error: <Type>: <message>` line),
-3 numeric failure (no convergence, slow mixing, left [0, 1]), 130
-interrupted (Ctrl-C), 141 stdout closed before all of it was written (as by
-`| head`).  Each error is one line on stderr.  `python -m signedvoter.cli`
-runs the same command line as the `signedvoter` script.
+the command draws random numbers; every usage error but a bad --seeds list
+is reported before any file is read or written), 2 data error (parsing, a
+file that is not UTF-8, graph invariants, or running out of memory) or an
+internal error (any other exception, reported as one
+`internal error: <Type>: <message>` line), 3 numeric failure (no
+convergence, slow mixing, left [0, 1]), 130 interrupted (Ctrl-C), 141
+stdout closed before all of it was written (as by `| head`).  Each error is
+one line on stderr.  `python -m signedvoter.cli` runs the same command line
+as the `signedvoter` script.
 """
 
 import argparse
@@ -139,20 +141,8 @@ def _read_text(path) -> str:
         raise GraphDataError(f"{path}: not UTF-8 at byte offset {exc.start}") from None
 
 
-def _load_graph(args) -> SignedDigraph:
-    if args.graph and args.config:
-        raise UsageError("--graph and --generate are mutually exclusive")
-    if args.command == "generate" and not args.config:
-        raise UsageError("generate needs --generate CONFIG")
-    if args.graph:
-        return parse_snap(_read_text(args.graph), repair_dangling=args.repair_dangling).graph
-    if args.config:
-        return generate(parse_generator_config(_read_text(args.config)))
-    raise UsageError("one of --graph or --generate is required")
-
-
-def _check_ranges(args) -> None:
-    """Reject out-of-range counts, horizons and seeds before any work starts."""
+def _check_usage(args) -> None:
+    """Reject every usage error that needs no graph, before any file is read or written."""
     low = {"k": 0, "trials": 1 if args.command == "simulate" else 0}
     if args.command != "maximize" or (args.baseline and _HEURISTICS[args.baseline] is None):
         low["rng_seed"] = 0  # among maximize runs only a baseline without a score draws
@@ -165,6 +155,20 @@ def _check_ranges(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < bound:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {bound}, got {value}")
+    if args.graph and args.config:
+        raise UsageError("--graph and --generate are mutually exclusive")
+    if args.command == "generate" and not args.config:
+        raise UsageError("generate needs --generate CONFIG")
+    if not (args.graph or args.config):
+        raise UsageError("one of --graph or --generate is required")
+    if getattr(args, "per_node", False) and args.t is None:
+        raise UsageError("--per-node requires --t")
+
+
+def _load_graph(args) -> SignedDigraph:
+    if args.graph:
+        return parse_snap(_read_text(args.graph), repair_dangling=args.repair_dangling).graph
+    return generate(parse_generator_config(_read_text(args.config)))
 
 
 def _parse_seeds(value: str, n: int) -> list:
@@ -260,8 +264,6 @@ def _steady_record(G: SignedDigraph, x0) -> dict:
 def _cmd_dynamics(args, G: SignedDigraph, out: Path) -> None:
     seeds = _parse_seeds(args.seeds, G.n)
     x0 = indicator(G.n, seeds)
-    if args.per_node and args.t is None:
-        raise UsageError("--per-node requires --t")
     # first: a periodic sink fails here, not after the adaptive loop's cap
     steady = _steady_record(G, x0)
     width = G.n if args.per_node else 0
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
-        _check_ranges(args)
+        _check_usage(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, _load_graph(args), out)

@@ -7,10 +7,11 @@ the two-lobe slow-mixing construction whose random walk needs exponentially
 many steps to cross between lobes.  Generation is deterministic for a fixed
 seed, and every structural claim (ergodicity, balance class, sink layout)
 is re-checked against the graph's component analysis, regenerating up to a
-retry budget.
+retry budget.  `_SIZES` owns the families: their names and the number of
+part sizes each takes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,15 +19,12 @@ from .errors import GenerationFailed, InvalidConfig
 from .graph import SignedDigraph, from_edge_list
 from .structure import BalanceKind, decompose
 
-FAMILIES = (
-    "balanced",
-    "anti_balanced",
-    "strictly_unbalanced",
-    "weakly_connected",
-    "disconnected",
-    "disconnected_with_wcc",
-    "slow_mixing",
-)
+_SIZES = {  # family -> number of sizes
+    "balanced": 2, "anti_balanced": 2, "strictly_unbalanced": 2,
+    "weakly_connected": 5, "disconnected": 5, "disconnected_with_wcc": 7,
+    "slow_mixing": 1,
+}
+FAMILIES = tuple(_SIZES)
 
 
 @dataclass
@@ -63,13 +61,9 @@ class GeneratorConfig:
                 raise InvalidConfig("slow_mixing takes sizes=[m] with m >= 3")
         elif self.edges_per_node < 2:
             raise InvalidConfig("edges_per_node must be >= 2")
-        expected = {
-            "balanced": 2, "anti_balanced": 2, "strictly_unbalanced": 2,
-            "weakly_connected": 5, "disconnected": 5, "disconnected_with_wcc": 7,
-        }
-        if self.family in expected and len(self.sizes) != expected[self.family]:
+        if len(self.sizes) != _SIZES[self.family]:
             raise InvalidConfig(
-                f"family {self.family!r} needs {expected[self.family]} sizes, got {len(self.sizes)}"
+                f"family {self.family!r} needs {_SIZES[self.family]} sizes, got {len(self.sizes)}"
             )
         for s in self.sizes if self.family != "slow_mixing" else []:
             if self.edges_per_node >= s:
@@ -78,7 +72,7 @@ class GeneratorConfig:
 
 def parse_generator_config(text: str) -> GeneratorConfig:
     """Parse `key = value` lines (# comments allowed) into a config."""
-    fields = {}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,22 +81,22 @@ def parse_generator_config(text: str) -> GeneratorConfig:
             raise InvalidConfig(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "family":
-            fields[key] = value
+            values[key] = value
         elif key == "sizes":
             try:
-                fields[key] = [int(v) for v in value.replace(",", " ").split()]
+                values[key] = [int(v) for v in value.replace(",", " ").split()]
             except ValueError:
                 raise InvalidConfig(f"line {lineno}: bad sizes {value!r}") from None
-        elif key in ("edges_per_node", "cross_edges", "link_edges", "seed", "retries"):
+        elif key in (f.name for f in fields(GeneratorConfig)):  # every other field is an int
             try:
-                fields[key] = int(value)
+                values[key] = int(value)
             except ValueError:
                 raise InvalidConfig(f"line {lineno}: {key} must be an integer") from None
         else:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-    if "family" not in fields:
+    if "family" not in values:
         raise InvalidConfig("config is missing 'family'")
-    cfg = GeneratorConfig(**fields)
+    cfg = GeneratorConfig(**values)
     cfg.validate()
     return cfg
 
@@ -207,31 +201,27 @@ def _build_once(cfg: GeneratorConfig, rng) -> SignedDigraph:
         layout = [(np.arange(sum(sizes)), BalanceKind[cfg.family.upper()], True)]
         return _check_layout(from_edge_list(edges), layout)
 
-    if cfg.family in ("weakly_connected", "disconnected", "disconnected_with_wcc"):
-        edges = []
-        big = cfg.family == "disconnected_with_wcc"  # a balanced pair ahead of parts 1-5
-        if big:
-            edges += _balanced_pair(rng, parts[0], parts[1], epn, cfg.cross_edges, taken)
-        p1, p2, p3, p4, p5 = parts[-5:]
-        edges += _random_signs(rng, _ergodic_part(rng, p1, epn, taken))
-        edges += _balanced_pair(rng, p2, p3, epn, cfg.cross_edges, taken)
-        edges += _balanced_pair(rng, p4, p5, epn, cfg.cross_edges, taken)
-        if cfg.family != "disconnected":
-            links = cfg.link_edges if cfg.link_edges is not None else 6 * p1.size
-            sinks_pool = np.concatenate([p2, p3, p4, p5])
-            edges += _random_signs(
-                rng, _random_distinct_pairs(rng, p1, sinks_pool, links, taken)
-            )
-        layout = [
-            (p1, BalanceKind.STRICTLY_UNBALANCED, cfg.family == "disconnected"),
-            (np.concatenate([p2, p3]), BalanceKind.BALANCED, True),
-            (np.concatenate([p4, p5]), BalanceKind.BALANCED, True),
-        ]
-        if big:
-            layout.append((np.concatenate([parts[0], parts[1]]), BalanceKind.BALANCED, True))
-        return _check_layout(from_edge_list(edges), layout)
-
-    raise InvalidConfig(f"unhandled family {cfg.family!r}")
+    # weakly_connected, disconnected and disconnected_with_wcc
+    edges = []
+    big = cfg.family == "disconnected_with_wcc"  # a balanced pair ahead of parts 1-5
+    if big:
+        edges += _balanced_pair(rng, parts[0], parts[1], epn, cfg.cross_edges, taken)
+    p1, p2, p3, p4, p5 = parts[-5:]
+    edges += _random_signs(rng, _ergodic_part(rng, p1, epn, taken))
+    edges += _balanced_pair(rng, p2, p3, epn, cfg.cross_edges, taken)
+    edges += _balanced_pair(rng, p4, p5, epn, cfg.cross_edges, taken)
+    if cfg.family != "disconnected":
+        links = cfg.link_edges if cfg.link_edges is not None else 6 * p1.size
+        sinks_pool = np.concatenate([p2, p3, p4, p5])
+        edges += _random_signs(rng, _random_distinct_pairs(rng, p1, sinks_pool, links, taken))
+    layout = [
+        (p1, BalanceKind.STRICTLY_UNBALANCED, cfg.family == "disconnected"),
+        (np.concatenate([p2, p3]), BalanceKind.BALANCED, True),
+        (np.concatenate([p4, p5]), BalanceKind.BALANCED, True),
+    ]
+    if big:
+        layout.append((np.concatenate([parts[0], parts[1]]), BalanceKind.BALANCED, True))
+    return _check_layout(from_edge_list(edges), layout)
 
 
 def slow_mixing(m: int) -> SignedDigraph:

@@ -634,6 +634,42 @@ def test_generate_needs_a_config(wc_graph, tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["classify"], "one of --graph or --generate is required"),
+    (["classify", "--graph", "{graph}", "--generate", "{config}"],
+     "--graph and --generate are mutually exclusive"),
+    (["generate", "--graph", "{graph}"], "generate needs --generate CONFIG"),
+    (["dynamics", "--graph", "{graph}", "--per-node"], "--per-node requires --t"),
+])
+def test_usage_errors_come_before_any_file_is_read_or_written(tmp_path, capsys, monkeypatch,
+                                                               argv, message):
+    graph, config, out = tmp_path / "g.edges", tmp_path / "g.cfg", tmp_path / "o"
+    graph.write_text("0 1 1\n1 0 1\n")
+    config.write_text(BAL_CFG)
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("the input was read before the usage check")
+
+    monkeypatch.setattr(cli, "parse_snap", no_input)
+    monkeypatch.setattr(cli, "generate", no_input)
+    argv = [a.format(graph=graph, config=config) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_stalled_edge_sampling_is_a_data_error(tmp_path, capsys):
+    # 20 cross edges between two parts of 3 nodes, which have 9 pairs each way
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text("family = balanced\nsizes = 3, 3\nedges_per_node = 2\n"
+                   "cross_edges = 20\nretries = 1\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--generate", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("data error: retries exhausted: edge sampling stalled; "
+                                       "graph too dense for request\n")
+    assert not (out / "graph.edges").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("seed = -1", "seed must be >= 0, got -1"),
     ("cross_edges = -5", "cross_edges must be >= 0, got -5"),

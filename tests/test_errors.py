@@ -51,6 +51,8 @@ CASES = {
                              ValueError, "unknown heuristic 'in_degree'"),
     "brute_force_opt-k": (lambda: sv.brute_force_opt(_cycle(), "longterm", -1),
                           ValueError, "k must be >= 0"),
+    "brute_force_opt-t": (lambda: sv.brute_force_opt(_cycle(), "instant", 1, t=0),
+                          ValueError, "short-term objectives need t >= 1"),
     "svim_s-mode": (lambda: sv.svim_s(_cycle(), 3, 1, mode="final"),
                     ValueError, "unknown mode 'final'"),
     "evaluate_seed_set-objective": (lambda: sv.evaluate_seed_set(_cycle(), [0], "total"),

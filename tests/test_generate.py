@@ -132,6 +132,26 @@ def test_config_graphs_are_frozen(name):
     assert hashlib.sha256(sv.serialize(G).encode()).hexdigest() == CONFIG_DIGESTS[name]
 
 
+# the same for the families no shipped config builds, recorded before the
+# family table took over from FAMILIES, validate's size table and the
+# family branches of _build_once
+FAMILY_DIGESTS = {
+    ("anti_balanced", (5, 8), 3, 2):
+        "ef8fd3e58ae3b6a98b4dea920ff9b2175c47a5d9e07fb82550c56e2e5d920469",
+    ("disconnected", (5, 4, 6, 4, 7), 2, 4):
+        "b5d91d4c1783151556034f2665e6cf33b9144c630e297880b4f0442469cc0cec",
+    ("disconnected_with_wcc", (4, 5, 5, 4, 6, 4, 7), 2, 4):
+        "286cc38591607479ff080735ca3f9ab070dedef838ce1f24ddd2fccd651d6fe0",
+}
+
+
+@pytest.mark.parametrize("family, sizes, edges_per_node, seed", sorted(FAMILY_DIGESTS))
+def test_other_family_graphs_are_frozen(family, sizes, edges_per_node, seed):
+    cfg = sv.GeneratorConfig(family, list(sizes), edges_per_node=edges_per_node, seed=seed)
+    digest = hashlib.sha256(sv.serialize(sv.generate(cfg)).encode()).hexdigest()
+    assert digest == FAMILY_DIGESTS[family, sizes, edges_per_node, seed]
+
+
 def test_layout_check_rejects_a_wrong_sink_flag():
     # without links, part 1 of a weakly connected graph is a sink of its own
     cfg = sv.GeneratorConfig("weakly_connected", [5, 4, 5, 4, 6], edges_per_node=3,

@@ -357,18 +357,12 @@ def test_step_on_other_bit_generators_matches_one_shot_draw(monkeypatch, bit_gen
 
 def test_repeated_steps_match_one_shot_draws(monkeypatch):
     # five steps of the same colors in blocks of three rows, each drawing
-    # where the last one left the stream, while the interpreter switches
-    # threads as often as it allows
+    # where the last one left the stream
     G = _golden_graph("weighted")
     monkeypatch.setattr(simulate, "_BLOCK", 3 * G.n)
     colors = np.random.default_rng(7).random((400, G.n)) < 0.5
     rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = [sv.mc_step(G, colors, rng) for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
+    got = [sv.mc_step(G, colors, rng) for _ in range(5)]
     tables = simulate.build_alias_tables(G)
     for step in got:
         assert np.array_equal(step, reference_step_batch(G, tables, colors, oracle_rng))
