@@ -8,8 +8,8 @@ and oscillation_seeds' score are BLAS dots, whose bits follow the OpenBLAS
 thread count; OPENBLAS_NUM_THREADS=1 pins them.
 
 Exit codes: 0 success, 1 usage error (including a negative --rng-seed where
-the command draws random numbers; every usage error but a bad --seeds list
-is reported before any file is read or written), 2 data error (parsing, a
+the command draws random numbers; all usage errors but a seed id out of
+range come before --out is made or a graph read), 2 data error (parsing, a
 file that is not UTF-8, graph invariants, or running out of memory) or an
 internal error (any other exception, reported as one
 `internal error: <Type>: <message>` line), 3 numeric failure (no
@@ -142,7 +142,7 @@ def _read_text(path) -> str:
 
 
 def _check_usage(args) -> None:
-    """Reject every usage error that needs no graph, before any file is read or written."""
+    """Reject every usage error that needs no graph, before --out is made or a graph read."""
     low = {"k": 0, "trials": 1 if args.command == "simulate" else 0}
     if args.command != "maximize" or (args.baseline and _HEURISTICS[args.baseline] is None):
         low["rng_seed"] = 0  # among maximize runs only a baseline without a score draws
@@ -163,6 +163,7 @@ def _check_usage(args) -> None:
         raise UsageError("one of --graph or --generate is required")
     if getattr(args, "per_node", False) and args.t is None:
         raise UsageError("--per-node requires --t")
+    args.seed_ids = _seed_ids(getattr(args, "seeds", ""))  # only their range waits for the graph
 
 
 def _load_graph(args) -> SignedDigraph:
@@ -171,7 +172,8 @@ def _load_graph(args) -> SignedDigraph:
     return generate(parse_generator_config(_read_text(args.config)))
 
 
-def _parse_seeds(value: str, n: int) -> list:
+def _seed_ids(value: str) -> list:
+    """The sorted distinct ids of a --seeds list, or of the file it names."""
     value = value.strip()
     if not value:
         return []
@@ -180,12 +182,15 @@ def _parse_seeds(value: str, n: int) -> list:
     if not all(tok.isdigit() for tok in tokens) and path.exists():  # an id list is never a path
         tokens = _read_text(path).split()
     try:
-        seeds = sorted({int(tok) for tok in tokens})
+        return sorted({int(tok) for tok in tokens})
     except ValueError:
         raise UsageError(f"seed list {value!r} contains a non-integer") from None
-    if seeds and (seeds[0] < 0 or seeds[-1] >= n):
+
+
+def _seeds_in(args, n: int) -> list:
+    if args.seed_ids and (args.seed_ids[0] < 0 or args.seed_ids[-1] >= n):
         raise UsageError(f"seed id out of range 0..{n - 1}")
-    return seeds
+    return args.seed_ids
 
 
 def _write_json(path: Path, payload: dict):
@@ -262,7 +267,7 @@ def _steady_record(G: SignedDigraph, x0) -> dict:
 
 
 def _cmd_dynamics(args, G: SignedDigraph, out: Path) -> None:
-    seeds = _parse_seeds(args.seeds, G.n)
+    seeds = _seeds_in(args, G.n)
     x0 = indicator(G.n, seeds)
     # first: a periodic sink fails here, not after the adaptive loop's cap
     steady = _steady_record(G, x0)
@@ -285,7 +290,7 @@ def _trajectory_rows(G: SignedDigraph, x0, t, width: int):
 
 
 def _cmd_simulate(args, G: SignedDigraph, out: Path) -> None:
-    seeds = _parse_seeds(args.seeds, G.n)
+    seeds = _seeds_in(args, G.n)
     stats = mc_run(G, seeds, args.t, args.trials, args.rng_seed)
     rows = [[k, _fmt(stats.mean[k]), _fmt(stats.stderr[k])] for k in range(args.t + 1)]
     _write_csv(out / "simulation.csv", ["step", "mean_white", "stderr"], rows)
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out", "seed_ids")}
     _write_json(out / "manifest.json", {
         "command": args.command,
         "graph_source": params.get("graph") or params.get("config") or "",

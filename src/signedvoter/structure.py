@@ -308,63 +308,63 @@ class Decomposition(_WeakGraph):
 def decompose(G: SignedDigraph) -> Decomposition:
     """Iterative Tarjan condensation on Python ints, numbered by smallest node.
 
-    A work stack of (node, next edge) pairs replaces recursion; a node's pair
-    goes back on it only when the scan of its out-edges descends.  The graph
-    is immutable, so the result is cached on it: every later call returns the
-    same Decomposition.
+    Pearce's one-array form (D. J. Pearce, "A space-efficient algorithm for
+    finding strongly connected components", IPL 116(1), 2016): `rindex[v]` is
+    0 while v is unvisited, the lowest index v reaches while it is active, and
+    once finished its component's number, counted down from n - 1.  Each
+    finished root gives its component's indices back, so a number stays above
+    every active index and one test, `rindex[w] < low`, both skips finished
+    nodes and lowers v's value.  A work stack of (node, next edge, own index)
+    triples replaces recursion; `stack` holds finished nodes that are not
+    roots.  Every later call returns the result cached on the immutable graph.
     """
     if G._decomposition is not None:
         return G._decomposition
     n = G.n
     # a memoryview item is a Python int, like a list item, without the list's copy
     indptr, targets = memoryview(G.indptr), memoryview(G.targets)
-    index, low, on_stack, comp_of = [-1] * n, [0] * n, [False] * n, [0] * n
+    rindex = [0] * n
     stack: list[int] = []
-    counter = n_comps = 0
+    index, comp = 1, n - 1
 
     for root in range(n):
-        if index[root] != -1:
+        if rindex[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, indptr[root])]
+        rindex[root] = index
+        work = [(root, indptr[root], index)]
+        index += 1
         while work:
-            v, ptr = work.pop()
-            end = indptr[v + 1]
+            v, ptr, own = work.pop()
+            low, end = rindex[v], indptr[v + 1]
             while ptr < end:
                 w = targets[ptr]
                 ptr += 1
-                if index[w] == -1:
-                    work.append((v, ptr))
-                    work.append((w, indptr[w]))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                if not rindex[w]:
+                    rindex[v] = low
+                    work.append((v, ptr, own))
+                    work.append((w, indptr[w], index))
+                    rindex[w] = index
+                    index += 1
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if rindex[w] < low:
+                    low = rindex[w]
             else:  # no break: every out-edge of v is scanned, v is finished
-                if work:
+                if low < own:  # v reaches an active node below it: its parent's component
+                    rindex[v] = low
+                    stack.append(v)
                     parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_of[w] = n_comps
-                        if w == v:
-                            break
-                    n_comps += 1
+                    if low < rindex[parent]:
+                        rindex[parent] = low
+                    continue
+                index -= 1
+                while stack and rindex[stack[-1]] >= own:
+                    rindex[stack.pop()] = comp
+                    index -= 1
+                rindex[v] = comp
+                comp -= 1
 
-    comp_of = np.array(comp_of, dtype=np.int64)
-    _, first = np.unique(comp_of, return_index=True)  # smallest node of each label
-    renumber = np.empty(n_comps, dtype=np.int64)
-    renumber[np.argsort(first)] = np.arange(n_comps)
-    scc_id = renumber[comp_of]
+    _, first, label = np.unique(rindex, return_index=True, return_inverse=True)
+    scc_id = first.argsort().argsort()[label]  # a label's rank by its smallest node
     order = np.argsort(scc_id, kind="stable")
     order.setflags(write=False)  # so is every component, a view of it
     sizes = np.bincount(scc_id)
@@ -373,7 +373,7 @@ def decompose(G: SignedDigraph) -> Decomposition:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n) - np.repeat(starts, sizes)
 
-    has_out = np.zeros(n_comps, dtype=bool)
+    has_out = np.zeros(first.size, dtype=bool)
     src = G.sources
     cross = scc_id[src] != scc_id[G.targets]
     has_out[scc_id[src[cross]]] = True

@@ -640,6 +640,10 @@ def test_generate_needs_a_config(wc_graph, tmp_path, capsys):
      "--graph and --generate are mutually exclusive"),
     (["generate", "--graph", "{graph}"], "generate needs --generate CONFIG"),
     (["dynamics", "--graph", "{graph}", "--per-node"], "--per-node requires --t"),
+    (["dynamics", "--graph", "{graph}", "--seeds", "x", "--t", "1"],
+     "seed list 'x' contains a non-integer"),
+    (["simulate", "--graph", "{graph}", "--seeds", "x", "--t", "1"],
+     "seed list 'x' contains a non-integer"),
 ])
 def test_usage_errors_come_before_any_file_is_read_or_written(tmp_path, capsys, monkeypatch,
                                                                argv, message):
